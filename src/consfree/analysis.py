@@ -26,9 +26,7 @@ from .terms import (
     format_term,
     is_constructor_term,
     is_data,
-    size,
     subterms,
-    variables,
 )
 
 

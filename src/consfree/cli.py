@@ -12,10 +12,8 @@ import csv
 import itertools
 import json
 import math
-import os
 import statistics
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .analysis import (
@@ -51,27 +49,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
-
-DEFAULT_SEED = 1729
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    seed: int
-    budget: Budget
-
-
-def _seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("CONSFREE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CONSFREE_SEED must be an integer, got {env!r}")
-    return args.seed
-
 
 def _load_trs(path: str) -> Trs:
     with open(path, encoding="utf-8") as fh:
@@ -134,6 +111,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
+    budget = Budget(args.max_terms, args.max_term_size)
     trs = _load_trs(args.path)
     require_decision_interface(trs)
     if args.engine == "table":
@@ -142,15 +120,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
         print(stats.to_json())
         return EXIT_OK if yes else EXIT_FAIL
     strategy = "full" if args.engine == "oracle-full" else "cbv"
-    budget = Budget(args.max_terms, args.max_term_size)
     reach = reachable_data(trs, encode_input(bits=args.bits), strategy, budget)
-    true_term = App(trs.symbol("true"))
-    if true_term in reach.results:
-        verdict = "yes"
-    elif reach.complete:
-        verdict = "no"
-    else:
-        verdict = "unknown"
+    verdict = reach.verdict(App(trs.symbol("true")))
     print(verdict)
     print(
         f"explored={reach.explored} complete={str(reach.complete).lower()} "
@@ -301,13 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed recorded for randomized workloads (CONSFREE_SEED overrides); "
-        "the built-in commands are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="static analyses for a .trs file")
@@ -390,17 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = _seed(args)
-        config = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "path", ""),
-            seed=seed,
-            budget=Budget(
-                getattr(args, "max_terms", 10_000),
-                getattr(args, "max_term_size", 1_000),
-            ),
-        )
-        del config  # budgets/seed validated; commands read args directly
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

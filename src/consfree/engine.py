@@ -60,6 +60,13 @@ class ReachabilityResult:
     explored: int
     truncated_by: Literal["none", "step_budget", "size_budget"]
 
+    def verdict(self, target: Term) -> Literal["yes", "no", "unknown"]:
+        """yes if target was reached, no if the search is complete, unknown
+        otherwise."""
+        if target in self.results:
+            return "yes"
+        return "no" if self.complete else "unknown"
+
 
 def _steps(trs: Trs, t: Term, strategy: Strategy) -> Iterator[ReductionStep]:
     """One-step successors in deterministic order: positions pre-order
@@ -191,10 +198,7 @@ def accepts(
     """Does start(bit list) reach the data term true under the strategy?"""
     require_decision_interface(trs)
     reach = reachable_data(trs, encode_input(bits), strategy, budget)
-    true_term = App(trs.symbol("true"))
-    if true_term in reach.results:
-        return "yes"
-    return "no" if reach.complete else "unknown"
+    return reach.verdict(App(trs.symbol("true")))
 
 
 @dataclass(frozen=True)

@@ -290,11 +290,11 @@ def encode_input(bits: str) -> Term:
 
 
 def has_decision_interface(trs: Trs) -> bool:
-    by_name = {s.name: s for s in trs.signature}
-    return all(
-        by_name.get(name) == Symbol(name, arity, kind)
-        for name, arity, kind in DECISION_INTERFACE
-    )
+    try:
+        require_decision_interface(trs)
+    except ValueError:
+        return False
+    return True
 
 
 def require_decision_interface(trs: Trs) -> None:

@@ -38,7 +38,7 @@ from typing import Iterator, Literal, Optional
 from . import __version__
 from .analysis import BSet, compute_b, is_b_safe, require_cons_free
 from .fmt import encode_input, require_decision_interface
-from .terms import App, Kind, Symbol, Term, Trs, Var, format_term, size, variables
+from .terms import App, Kind, Term, Trs, Var, format_term, size, variables
 
 Mode = Literal["dense", "demand"]
 
@@ -85,9 +85,6 @@ def generations_bound_check(stats: TabulationStats) -> bool:
 class ConfirmedTable:
     b: BSet
     entries: dict[tuple[str, tuple[int, ...]], int]  # value bitmask per key
-    generation: int
-    ops_counter: int
-    mode: Mode
     trs: Trs
     stats: TabulationStats
 
@@ -338,9 +335,6 @@ def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTabl
     return ConfirmedTable(
         b=b,
         entries={k: v for k, v in engine.table.items() if v},
-        generation=generations,
-        ops_counter=engine.ops,
-        mode=mode,
         trs=trs,
         stats=stats,
     )

@@ -11,10 +11,9 @@ All functions here are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 
 class Kind(Enum):
@@ -199,9 +198,9 @@ class Rule:
 class Trs:
     """A rewrite system: a signature plus an ordered list of rules.
 
-    Symbol kinds are taken as given; `make_trs` infers them from rule heads,
-    with optional extra declared symbols (a defined symbol may have no rules
-    when declared explicitly, but every lhs root must be Defined).
+    Symbol kinds are taken as given: every lhs root must be Defined, and a
+    defined symbol may have no rules.  `make_trs` builds the signature from
+    the rules.
     """
 
     signature: tuple[Symbol, ...]
@@ -244,44 +243,34 @@ class Trs:
         ]
 
 
-def make_trs(rules: list[Rule], extra: tuple[Symbol, ...] = ()) -> Trs:
-    """Build a Trs, inferring the defined/constructor split from rule heads.
+def make_trs(rules: Sequence[Rule], extra: tuple[Symbol, ...] = ()) -> Trs:
+    """Build a Trs whose signature holds the symbols of `rules`, then `extra`.
 
-    `extra` declares symbols beyond those occurring in the rules (or forces a
-    rule-less symbol to be Defined).
+    Kinds are taken as given and the rule objects are reused.  `extra`
+    declares symbols beyond those occurring in the rules (a defined symbol
+    may have no rules).  Raises ValueError when one name is used with two
+    different symbols.
     """
-    defined_names = {r.lhs.head.name for r in rules if isinstance(r.lhs, App)}
-    defined_names |= {s.name for s in extra if s.kind is Kind.DEFINED}
-    seen: dict[str, tuple[int, Kind]] = {}
+    seen: dict[str, Symbol] = {}
 
-    def note(name: str, arity: int) -> None:
-        kind = Kind.DEFINED if name in defined_names else Kind.CONSTRUCTOR
-        prev = seen.get(name)
-        if prev is not None and prev != (arity, kind):
-            raise ValueError(f"inconsistent uses of symbol {name}")
-        seen[name] = (arity, kind)
+    def note(sym: Symbol) -> None:
+        prev = seen.setdefault(sym.name, sym)
+        # identity first: Symbol's dataclass __eq__ is slow on every node
+        if prev is not sym and prev != sym:
+            raise ValueError(f"inconsistent uses of symbol {sym.name}")
 
+    def walk(t: Term) -> None:
+        if isinstance(t, App):
+            note(t.head)
+            for a in t.args:
+                walk(a)
+
+    for rule in rules:
+        walk(rule.lhs)
+        walk(rule.rhs)
     for s in extra:
-        note(s.name, s.arity)
-    raw_rules = rules
-    rules = []
-    for rule in raw_rules:
-        for t in subterms(rule.lhs) + subterms(rule.rhs):
-            if isinstance(t, App):
-                note(t.head.name, len(t.args))
-        rules.append(rule)
-    signature = tuple(
-        Symbol(name, arity, kind) for name, (arity, kind) in sorted(seen.items())
-    )
-    by_name = {s.name: s for s in signature}
-
-    def rebuild(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        return App(by_name[t.head.name], tuple(rebuild(a) for a in t.args))
-
-    fixed = tuple(Rule(rebuild(r.lhs), rebuild(r.rhs)) for r in rules)
-    return Trs(signature, fixed)
+        note(s)
+    return Trs(tuple(seen[name] for name in sorted(seen)), tuple(rules))
 
 
 def canonical_rule(rule: Rule) -> Rule:
@@ -308,35 +297,3 @@ def same_rules(a: Trs, b: Trs) -> bool:
     ca = sorted(str(canonical_rule(r)) for r in a.rules)
     cb = sorted(str(canonical_rule(r)) for r in b.rules)
     return ca == cb
-
-
-def ground_terms(symbols: list[Symbol], max_size: int) -> Iterator[Term]:
-    """Enumerate all ground terms over `symbols` with at most max_size nodes.
-
-    Deterministic order: by size, then by signature order at each node.
-    """
-    by_sz: list[list[Term]] = [[] for _ in range(max_size + 1)]
-    for sz in range(1, max_size + 1):
-        for sym in symbols:
-            if sym.arity == 0:
-                if sz == 1:
-                    by_sz[1].append(App(sym))
-                continue
-            budget = sz - 1
-            if budget < sym.arity:
-                continue
-            for split in _compositions(budget, sym.arity):
-                for args in itertools.product(
-                    *(by_sz[part] for part in split)
-                ):
-                    by_sz[sz].append(App(sym, args))
-        yield from by_sz[sz]
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)

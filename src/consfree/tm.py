@@ -32,13 +32,12 @@ decomposition into suffix lengths, so compile_tm rejects them.
 from __future__ import annotations
 
 import itertools
-import re
 import warnings
 from dataclasses import dataclass
 
-from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
+from .fmt import IDENT_CHARS
+from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, make_trs
 
-_IDENT = re.compile(r"[A-Za-z0-9_']+\Z")
 _MOVES = ("L", "R", "S")
 
 
@@ -73,7 +72,7 @@ def _idents(value: str, what: str, lineno: int) -> list[str]:
     if not names:
         raise TmParseError(f"line {lineno}: empty {what} list")
     for name in names:
-        if not _IDENT.match(name):
+        if not IDENT_CHARS.issuperset(name):
             raise TmParseError(f"line {lineno}: bad {what} name {name!r}")
     if len(set(names)) != len(names):
         raise TmParseError(f"line {lineno}: duplicate {what} name")
@@ -356,15 +355,10 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
 
     ZEROS_T = [NIL] * td
 
-    def tpatterns(shapes: tuple[int, ...]) -> list[Term]:
+    def patterns(prefix: str, shapes: tuple[int, ...]) -> list[Term]:
+        # digit shapes: 0 is nil, 1 is cons(<prefix>ih, <prefix>it)
         return [
-            NIL if s == 0 else _ap(cons, Var(f"t{i}h"), Var(f"t{i}t"))
-            for i, s in enumerate(shapes)
-        ]
-
-    def ppatterns(shapes: tuple[int, ...]) -> list[Term]:
-        return [
-            NIL if s == 0 else _ap(cons, Var(f"p{i}h"), Var(f"p{i}t"))
+            NIL if s == 0 else _ap(cons, Var(f"{prefix}{i}h"), Var(f"{prefix}{i}t"))
             for i, s in enumerate(shapes)
         ]
 
@@ -383,7 +377,7 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     # st(w, t): machine state after t steps
     rules.append(Rule(_ap(st, W, *ZEROS_T), _ap(stc[tm.start_state])))
     for shapes in nonzero:
-        tpats = tpatterns(shapes)
+        tpats = patterns("t", shapes)
         prev = minus_one(tpats)
         heads = head_vec(prev)
         rules.append(
@@ -403,10 +397,7 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     ]
     for top in range(3):
         for mids in itertools.product((0, 1), repeat=pd - 2):
-            mpats = [
-                NIL if s == 0 else _ap(cons, Var(f"m{i}h"), Var(f"m{i}t"))
-                for i, s in enumerate(mids)
-            ]
+            mpats = patterns("m", mids)
             if top == 1 and not any(mids):
                 rhs: Term = _ap(bitat, W, p0)
             else:
@@ -415,12 +406,12 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
 
     # rd(w, t, p), t > 0: rewritten by the head, otherwise carried over
     for shapes in nonzero:
-        tpats = tpatterns(shapes)
+        tpats = patterns("t", shapes)
         prev = minus_one(tpats)
         heads = head_vec(prev)
         written = _ap(wrx, _ap(st, W, *prev), _ap(rd, W, *prev, *heads))
         for pshapes in itertools.product((0, 1), repeat=pd):
-            ppats = ppatterns(pshapes)
+            ppats = patterns("p", pshapes)
             rules.append(
                 Rule(
                     _ap(rd, W, *tpats, *ppats),
@@ -436,7 +427,7 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     # hd(w, t, p): does the head sit at p after t steps
     pvars = [Var(f"p{i}") for i in range(pd)]
     for shapes in itertools.product((0, 1), repeat=td):
-        tpats = tpatterns(shapes)
+        tpats = patterns("t", shapes)
         eqs = [
             _ap(eqlen, pvars[i], _ap(head[pd - 1 - i], W, *tpats))
             for i in range(pd)
@@ -452,7 +443,7 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
         at_zero = _ap(lst, W) if j == pd - 1 else NIL
         rules.append(Rule(_ap(head[j], W, *ZEROS_T), at_zero))
     for shapes in nonzero:
-        tpats = tpatterns(shapes)
+        tpats = patterns("t", shapes)
         prev = minus_one(tpats)
         heads = head_vec(prev)
         move = _ap(mvx, _ap(st, W, *prev), _ap(rd, W, *prev, *heads))
@@ -530,25 +521,5 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
         for sym in group:
             roles[sym.name] = role
 
-    syms: dict[str, Symbol] = {}
-    for rule in rules:
-        for s in _rule_symbols(rule):
-            syms.setdefault(s.name, s)
-    for s in (cons, nil, true, false, bits["0"], bits["1"]):
-        syms.setdefault(s.name, s)
-    signature = tuple(sorted(syms.values(), key=lambda s: s.name))
-    return CompiledTrs(trs=Trs(signature, tuple(rules)), symbol_manifest=roles)
-
-
-def _rule_symbols(rule: Rule):
-    out = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            out.append(t.head)
-            for a in t.args:
-                walk(a)
-
-    walk(rule.lhs)
-    walk(rule.rhs)
-    return out
+    trs = make_trs(rules, (cons, nil, true, false, bits["0"], bits["1"]))
+    return CompiledTrs(trs=trs, symbol_manifest=roles)

@@ -30,6 +30,7 @@ from .terms import (
     Var,
     format_term,
     is_constructor_term,
+    make_trs,
     subterms,
     variables,
 )
@@ -178,7 +179,7 @@ def semi_linearize(trs: Trs) -> Trs:
         for s in trs.signature
         if s.kind is Kind.DEFINED and not trs.rules_for(s)
     )
-    return _rebuild(new_rules, extra + extra_syms)
+    return make_trs(new_rules, extra + extra_syms)
 
 
 def bottom_extend(trs: Trs) -> Trs:
@@ -191,19 +192,7 @@ def bottom_extend(trs: Trs) -> Trs:
     for sym in trs.defined():
         xs = tuple(Var(f"x{i}") for i in range(1, sym.arity + 1))
         new_rules.append(Rule(App(sym, xs), App(bot)))
-    return _rebuild(new_rules, (bot,))
-
-
-def _rebuild(rules: list[Rule], extra: tuple[Symbol, ...]) -> Trs:
-    seen: dict[str, Symbol] = {}
-    for rule in rules:
-        for t in subterms(rule.lhs) + subterms(rule.rhs):
-            if isinstance(t, App) and t.head.name not in seen:
-                seen[t.head.name] = t.head
-    for s in extra:
-        seen.setdefault(s.name, s)
-    signature = tuple(seen[name] for name in sorted(seen))
-    return Trs(signature, tuple(rules))
+    return make_trs(new_rules, (bot,))
 
 
 def verify_semi_linearization(

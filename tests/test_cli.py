@@ -127,6 +127,14 @@ def test_decide_oracle_unknown_budget(capsys):
     assert "truncated_by=step_budget" in lines[1]
 
 
+@pytest.mark.parametrize("engine", ["table", "oracle-full", "oracle-cbv"])
+def test_decide_rejects_nonpositive_budget(capsys, engine):
+    code, _, err = run(capsys, "decide", MEM, "01", "--engine", engine,
+                       "--max-terms", "0")
+    assert code == 2
+    assert "budgets must be positive" in err
+
+
 def test_decide_needs_interface(capsys):
     code, _, err = run(capsys, "decide", LOOP, "01")
     assert code == 2
@@ -278,17 +286,6 @@ def test_bench_bad_sizes(capsys):
     code, _, err = run(capsys, "bench", MEM, "--sizes", "4,x")
     assert code == 2
     assert "bad --sizes" in err
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CONSFREE_SEED", "not-a-number")
-    code, _, err = run(capsys, "check", MEM)
-    assert code == 2
-    assert "CONSFREE_SEED" in err
-    monkeypatch.setenv("CONSFREE_SEED", "7")
-    code, out, _ = run(capsys, "check", MEM)
-    assert code == 0
-    assert "cons-free: ok" in out
 
 
 def test_version_flag(capsys):

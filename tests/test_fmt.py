@@ -1,5 +1,6 @@
 import pytest
 
+from consfree.analysis import NotConsFreeError, NotConstrainedError, check_constrained
 from consfree.fmt import (
     ParseError,
     encode_input,
@@ -10,8 +11,10 @@ from consfree.fmt import (
     require_decision_interface,
 )
 from consfree.terms import App, Kind, format_term, same_rules
+from consfree.tm import compile_tm
+from consfree.transforms import bottom_extend, semi_linearize
 
-from conftest import CORPUS_NAMES, load_system
+from conftest import CORPUS_NAMES, MACHINES, load_machine, load_system
 
 MEMBERSHIP = """
 (VAR w xs)
@@ -65,12 +68,33 @@ def test_parse_error_carries_position():
     assert info.value.span.line == 3
 
 
-def test_print_parse_roundtrip_corpus():
+def _roundtrip_systems():
+    """The corpus, plus every system `make_trs` builds from it: the compiled
+    machines and the transforms of each constrained corpus system."""
     for name in CORPUS_NAMES:
         trs = load_system(name)
+        yield name, trs
+        try:
+            check_constrained(trs)
+        except (NotConsFreeError, NotConstrainedError):
+            continue
+        semi = semi_linearize(trs)
+        yield f"semi_linearize({name})", semi
+        yield f"bottom_extend(semi_linearize({name}))", bottom_extend(semi)
+        yield f"bottom_extend({name})", bottom_extend(trs)
+    for path in sorted(MACHINES.glob("*.tm")):
+        yield f"compile_tm({path.stem})", compile_tm(load_machine(path.stem)).trs
+
+
+def test_print_parse_roundtrip_corpus():
+    seen = 0
+    for name, trs in _roundtrip_systems():
         back = parse_trs(print_trs(trs))
         assert same_rules(trs, back), name
         assert back.signature == trs.signature, name
+        seen += 1
+    # every corpus system is constrained: 12 originals, 36 transforms, 3 machines
+    assert seen == 51
 
 
 def test_print_trs_shape():

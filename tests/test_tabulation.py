@@ -28,7 +28,7 @@ def test_loop42_table_by_hand():
     fa = parse_term("f(a)", loop)
     table = run_tabulation(loop, fa, "dense")
     assert [format_term(t) for t in table.b.items] == ["b"]
-    assert table.generation == 2
+    assert table.stats.generations == 2
     assert table.dump() == "f(b) => b"
     assert nf(table, fa) == frozenset()
     assert {format_term(t) for t in nf(table, parse_term("f(b)", loop))} == {"b"}

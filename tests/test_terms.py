@@ -10,7 +10,6 @@ from consfree.terms import (
     apply,
     canonical_rule,
     format_term,
-    ground_terms,
     is_constructor_term,
     is_data,
     make_trs,
@@ -156,6 +155,7 @@ def test_make_trs_infers_kinds():
         Rule(App(G, (Var("x"), Var("y"))), Var("x")),
     ]
     trs = make_trs(rules)
+    assert all(trs.rules[i] is rules[i] for i in range(len(rules)))
     assert {s.name for s in trs.defined()} == {"f", "g"}
     assert {s.name for s in trs.constructors()} == {"nil"}
     assert trs.symbol("f").kind is Kind.DEFINED
@@ -196,11 +196,3 @@ def test_canonical_rule_and_same_rules():
     assert same_rules(ta, tb)
     tc = make_trs([Rule(App(F, (Var("w"),)), App(NIL))])
     assert not same_rules(ta, tc)
-
-
-def test_ground_terms_enumeration():
-    terms = list(ground_terms([NIL, ZERO, ONE, CONS], 5))
-    assert len(terms) == 66
-    assert [format_term(t) for t in terms[:4]] == ["nil", "0", "1", "cons(nil, nil)"]
-    assert all(size(t) <= 5 for t in terms)
-    assert len(set(terms)) == len(terms)
