@@ -15,7 +15,7 @@ from consfree.analysis import (
     verify_constrained_witness,
 )
 from consfree.fmt import encode_input, parse_term, parse_trs
-from consfree.terms import Kind, Symbol, Trs, Var, format_term, is_data, size
+from consfree.terms import Var, format_term, is_data, size
 
 from conftest import CORPUS_NAMES, load_system
 
@@ -179,16 +179,6 @@ def test_b_safe_terms_enumeration():
     # every enumerated term is safe for the universe computed from itself
     for t in terms:
         assert is_b_safe(compute_b(trs, t), t), format_term(t)
-    # constructors only: every ground term, signature order at each node
-    nil = Symbol("nil", 0, Kind.CONSTRUCTOR)
-    zero = Symbol("0", 0, Kind.CONSTRUCTOR)
-    one = Symbol("1", 0, Kind.CONSTRUCTOR)
-    cons = Symbol("cons", 2, Kind.CONSTRUCTOR)
-    data = list(b_safe_terms(Trs((nil, zero, one, cons), ()), 5))
-    assert len(data) == 66
-    assert [format_term(t) for t in data[:4]] == ["nil", "0", "1", "cons(nil, nil)"]
-    assert all(size(t) <= 5 for t in data)
-    assert len(set(data)) == len(data)
 
 
 def test_b_safe_terms_pure_data_included():

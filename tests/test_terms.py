@@ -1,5 +1,6 @@
 import pytest
 
+from consfree.analysis import b_safe_terms
 from consfree.terms import (
     App,
     Kind,
@@ -196,3 +197,12 @@ def test_canonical_rule_and_same_rules():
     assert same_rules(ta, tb)
     tc = make_trs([Rule(App(F, (Var("w"),)), App(NIL))])
     assert not same_rules(ta, tc)
+
+
+def test_ground_terms_enumeration():
+    # constructors only: every ground term, signature order at each node
+    terms = list(b_safe_terms(Trs((NIL, ZERO, ONE, CONS), ()), 5))
+    assert len(terms) == 66
+    assert [format_term(t) for t in terms[:4]] == ["nil", "0", "1", "cons(nil, nil)"]
+    assert all(size(t) <= 5 for t in terms)
+    assert len(set(terms)) == len(terms)
