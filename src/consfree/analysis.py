@@ -55,7 +55,17 @@ class Violation:
 
 
 def check_cons_free(trs: Trs) -> list[Violation]:
-    """All cons-freeness violations, in rule order; empty means cons-free."""
+    """All cons-freeness violations, in rule order; empty means cons-free.
+
+    Computed once per system; every call returns a fresh list.
+    """
+    found = trs.memo.get("violations")
+    if found is None:
+        found = trs.memo["violations"] = tuple(_violations(trs))
+    return list(found)
+
+
+def _violations(trs: Trs) -> list[Violation]:
     out: list[Violation] = []
     for i, rule in enumerate(trs.rules):
         lhs = rule.lhs
@@ -198,19 +208,32 @@ class BSet:
 
 
 def compute_b(trs: Trs, start: Term) -> BSet:
+    """The data universe of a run from `start`: the start term's data, then
+    the system's right-hand-side data pool less what the start term holds."""
     items: list[Term] = []
     seen: set[Term] = set()
-
-    def add_data_subterms(t: Term) -> None:
-        for s in subterms(t):
-            if s not in seen and is_data(s):
-                seen.add(s)
-                items.append(s)
-
-    add_data_subterms(start)
-    for rule in trs.rules:
-        add_data_subterms(rule.rhs)
+    _add_data_subterms(start, items, seen)
+    items.extend(t for t in _rhs_data(trs) if t not in seen)
     return BSet(tuple(items))
+
+
+def _rhs_data(trs: Trs) -> tuple[Term, ...]:
+    """Data subterms of the right-hand sides in file order, once per system."""
+    pool = trs.memo.get("rhs_data")
+    if pool is None:
+        items: list[Term] = []
+        seen: set[Term] = set()
+        for rule in trs.rules:
+            _add_data_subterms(rule.rhs, items, seen)
+        pool = trs.memo["rhs_data"] = tuple(items)
+    return pool
+
+
+def _add_data_subterms(t: Term, items: list[Term], seen: set[Term]) -> None:
+    for s in subterms(t):
+        if s not in seen and is_data(s):
+            seen.add(s)
+            items.append(s)
 
 
 def is_b_safe(b: BSet, t: Term) -> bool:

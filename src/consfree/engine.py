@@ -77,7 +77,7 @@ def _steps(trs: Trs, t: Term, strategy: Strategy) -> Iterator[ReductionStep]:
             continue
         if strategy == "cbv" and not all(is_data(a) for a in sub.args):
             continue
-        for i, rule in enumerate(trs.rules):
+        for i, rule in trs.by_head.get(sub.head.name, ()):
             subst = match(rule.lhs, sub)
             if subst is None:
                 continue

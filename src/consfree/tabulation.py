@@ -38,7 +38,7 @@ from typing import Iterator, Literal, Optional
 from . import __version__
 from .analysis import BSet, compute_b, is_b_safe, require_cons_free
 from .fmt import encode_input, require_decision_interface
-from .terms import App, Kind, Term, Trs, Var, format_term, size, variables
+from .terms import App, Kind, Rule, Term, Trs, Var, format_term, size, variables
 
 Mode = Literal["dense", "demand"]
 
@@ -117,15 +117,13 @@ class _Engine:
         self.b = b
         self.ops = 0
         self.table: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.rules: dict[str, list[tuple[tuple[Term, ...], Term]]] = {}
-        for sym in trs.defined():
-            self.rules[sym.name] = [
-                (rule.lhs.args, rule.rhs) for _, rule in trs.rules_for(sym)
-            ]
+        # per system, not per input: each symbol's rules pruned by the root
+        # heads of a key's arguments
+        self._pruned: dict[tuple, list[Rule]] = trs.memo.setdefault("candidates", {})
         self._const_idx: dict[int, int] = {}
         self._inst_idx: dict[tuple, int] = {}
         self._term_vars: dict[int, tuple[str, ...]] = {}
-        self._candidates: dict[tuple[str, tuple[int, ...]], list] = {}
+        self._candidates: dict[tuple[str, tuple[int, ...]], list[Rule]] = {}
 
     # -- term machinery ----------------------------------------------------
 
@@ -139,7 +137,8 @@ class _Engine:
                 env[pat.name] = idx
                 return True
             return prev == idx
-        if isinstance(term, Var) or pat.head != term.head:
+        # identity first; input data carries its own equal Symbol objects
+        if isinstance(term, Var) or (pat.head is not term.head and pat.head != term.head):
             return False
         return all(self._bind(p, s, env) for p, s in zip(pat.args, term.args))
 
@@ -211,19 +210,26 @@ class _Engine:
         memo[id(t)] = result
         return result
 
-    def _rules_for_key(self, key: tuple[str, tuple[int, ...]]) -> list:
+    def _rules_for_key(self, key: tuple[str, tuple[int, ...]]) -> list[Rule]:
         # prune rules whose argument patterns have the wrong root constructor;
-        # cached per key, since compiled systems carry hundreds of rules
+        # compiled systems carry hundreds of rules.  The pruned list depends
+        # only on the argument heads, so it is kept per system under those,
+        # and per engine under the key, whose B indices hash faster
         hit = self._candidates.get(key)
         if hit is None:
             name, combo = key
-            hit = []
-            for pair in self.rules[name]:
-                for pat, idx in zip(pair[0], combo):
-                    if isinstance(pat, App) and pat.head != self.b.items[idx].head:
-                        break
-                else:
-                    hit.append(pair)
+            heads = tuple(self.b.items[idx].head for idx in combo)
+            hit = self._pruned.get((name, heads))
+            if hit is None:
+                hit = [
+                    rule
+                    for _, rule in self.trs.by_head.get(name, ())
+                    if all(
+                        not isinstance(pat, App) or pat.head is h or pat.head == h
+                        for pat, h in zip(rule.lhs.args, heads)
+                    )
+                ]
+                self._pruned[(name, heads)] = hit
             self._candidates[key] = hit
         return hit
 
@@ -231,11 +237,11 @@ class _Engine:
         self, key: tuple[str, tuple[int, ...]], reads: Optional[set]
     ) -> int:
         value = self.table.get(key, 0)
-        for patterns, rhs in self._rules_for_key(key):
+        for rule in self._rules_for_key(key):
             self.ops += 1  # rule-match attempt
-            env = self._match_key(patterns, combo=key[1])
+            env = self._match_key(rule.lhs.args, combo=key[1])
             if env is not None:
-                value |= self.eval(rhs, env, {}, reads)
+                value |= self.eval(rule.rhs, env, {}, reads)
         return value
 
     def _commit(self, updates: dict) -> None:

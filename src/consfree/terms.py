@@ -162,7 +162,8 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
                 subst[p.name] = s
                 return True
             return bound == s
-        if isinstance(s, Var) or p.head != s.head:
+        # identity first: Symbol's dataclass __eq__ is slow on every node
+        if isinstance(s, Var) or (p.head is not s.head and p.head != s.head):
             return False
         return all(go(pa, sa) for pa, sa in zip(p.args, s.args))
 
@@ -201,27 +202,46 @@ class Trs:
     Symbol kinds are taken as given: every lhs root must be Defined, and a
     defined symbol may have no rules.  `make_trs` builds the signature from
     the rules.
+
+    `by_head` maps each head name to its `(index, rule)` pairs in file order.
+    `memo` holds facts other modules compute once per system because they do
+    not depend on the input (the cons-free verdict, the right-hand-side data
+    pool, ...).  Both live and die with this object and take no part in
+    equality, so two equal systems never share a memo.
     """
 
     signature: tuple[Symbol, ...]
     rules: tuple[Rule, ...]
+    by_head: dict[str, tuple[tuple[int, Rule], ...]] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
+    memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         names = [s.name for s in self.signature]
         if len(names) != len(set(names)):
             raise ValueError("duplicate symbol names in signature")
         by_name = {s.name: s for s in self.signature}
+        by_head: dict[str, list[tuple[int, Rule]]] = {}
         for i, rule in enumerate(self.rules):
-            for t in subterms(rule.lhs) + subterms(rule.rhs):
-                if isinstance(t, App) and by_name.get(t.head.name) != t.head:
-                    raise ValueError(
-                        f"rule {i} uses {t.head} missing from the signature"
-                    )
+            todo: list[Term] = [rule.rhs, rule.lhs]  # popped in pre-order, lhs first
+            while todo:
+                t = todo.pop()
+                if isinstance(t, App):
+                    known = by_name.get(t.head.name)
+                    # identity first: Symbol's dataclass __eq__ is slow on every node
+                    if known is not t.head and known != t.head:
+                        raise ValueError(
+                            f"rule {i} uses {t.head} missing from the signature"
+                        )
+                    todo.extend(reversed(t.args))
             assert isinstance(rule.lhs, App)
             if rule.lhs.head.kind is not Kind.DEFINED:
                 raise ValueError(
                     f"rule {i} rewrites constructor {rule.lhs.head.name}"
                 )
+            by_head.setdefault(rule.lhs.head.name, []).append((i, rule))
+        self.by_head.update({name: tuple(pairs) for name, pairs in by_head.items()})
 
     def symbol(self, name: str) -> Symbol:
         for s in self.signature:
@@ -238,8 +258,8 @@ class Trs:
     def rules_for(self, sym: Symbol) -> list[tuple[int, Rule]]:
         return [
             (i, r)
-            for i, r in enumerate(self.rules)
-            if isinstance(r.lhs, App) and r.lhs.head == sym
+            for i, r in self.by_head.get(sym.name, ())
+            if r.lhs.head is sym or r.lhs.head == sym
         ]
 
 

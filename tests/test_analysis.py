@@ -51,6 +51,18 @@ def test_nonlinear_lhs_violation():
         require_cons_free(trs)
 
 
+def test_cons_free_verdict_is_kept_per_system():
+    text = "(VAR x)(RULES f(x, x) -> x g(x) -> cons(x, x))"
+    trs = parse_trs(text)
+    first = check_cons_free(trs)
+    assert [v.condition for v in first] == [1, 3]
+    first.clear()  # callers own the list they get
+    assert check_cons_free(trs) == check_cons_free(parse_trs(text))
+    for _ in range(2):
+        with pytest.raises(NotConsFreeError):
+            require_cons_free(trs)
+
+
 def test_defined_symbol_in_lhs_argument():
     trs = parse_trs("(VAR x)(RULES g(x) -> x f(g(x)) -> x)")
     (v,) = check_cons_free(trs)
@@ -147,6 +159,21 @@ def test_compute_b_contents_and_order():
     assert len(b) == 7
     assert parse_term("cons(1, nil)", trs) in b
     assert parse_term("cons(0, nil)", trs) not in b
+    # start-term data that also occurs in a rule keeps its start-term place,
+    # and one run's start data does not leak into the next run's universe
+    trs = parse_trs(
+        "(VAR x y z w)"
+        "(RULES f(x) -> g(true, cons(1, nil), 0, cons(0, nil)) g(x, y, z, w) -> x)"
+    )
+    for start, want in [
+        (
+            "f(cons(0, cons(1, nil)))",
+            ["cons(0, cons(1, nil))", "0", "cons(1, nil)", "1", "nil", "true", "cons(0, nil)"],
+        ),
+        ("f(nil)", ["nil", "true", "cons(1, nil)", "1", "0", "cons(0, nil)"]),
+    ]:
+        b = compute_b(trs, parse_term(start, trs))
+        assert [format_term(t) for t in b.items] == want, start
 
 
 def test_is_b_safe():

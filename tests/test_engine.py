@@ -12,7 +12,15 @@ from consfree.engine import (
     step_full,
 )
 from consfree.fmt import encode_input, parse_term, parse_trs
-from consfree.terms import format_term
+from consfree.terms import (
+    App,
+    Kind,
+    format_term,
+    is_data,
+    match,
+    positions,
+    subterm_at,
+)
 
 from conftest import load_system
 
@@ -33,6 +41,37 @@ def test_step_cbv_requires_data_arguments():
     # the root is blocked until the argument is a value
     assert [(s.position, s.rule_index) for s in steps] == [((1,), 1)]
     assert step_cbv(TINY, parse_term("f(b)", TINY))[0].position == ()
+
+
+def test_steps_follow_file_order_with_interleaved_heads():
+    # rules of f, g and a interleave in the file, and several match one redex
+    trs = parse_trs(
+        "(VAR x y)(RULES f(x) -> g(x, x) g(x, y) -> x f(b) -> a "
+        "g(b, y) -> f(y) a -> b f(x) -> x g(x, b) -> a a -> c)"
+    )
+
+    def unindexed(t, cbv):
+        # every rule at every pre-order position, in file order
+        out = []
+        for pos in positions(t):
+            sub = subterm_at(t, pos)
+            if not isinstance(sub, App) or sub.head.kind is not Kind.DEFINED:
+                continue
+            if cbv and not all(is_data(a) for a in sub.args):
+                continue
+            out += [(pos, i) for i, r in enumerate(trs.rules) if match(r.lhs, sub) is not None]
+        return out
+
+    terms = list(b_safe_terms(trs, 6))
+    assert len(terms) > 100
+    for t in terms:
+        for step, cbv in ((step_full, False), (step_cbv, True)):
+            got = [(s.position, s.rule_index) for s in step(trs, t)]
+            assert got == unindexed(t, cbv), format_term(t)
+    t = parse_term("g(f(b), a)", trs)
+    assert [(s.position, s.rule_index) for s in step_full(trs, t)] == [
+        ((), 1), ((1,), 0), ((1,), 2), ((1,), 5), ((2,), 4), ((2,), 7),
+    ]
 
 
 def test_budget_validation():

@@ -12,10 +12,11 @@ from consfree.tabulation import (
     stats_bound_check,
 )
 from consfree.terms import App, format_term
+from consfree.tm import compile_tm
 
 import pytest
 
-from conftest import load_system
+from conftest import load_machine, load_system
 
 
 def test_loop42_table_by_hand():
@@ -54,8 +55,28 @@ def test_run_tabulation_rejects_unsafe_start():
 
 def test_run_tabulation_requires_cons_free():
     trs = parse_trs("(VAR x)(RULES f(x) -> cons(x, x) g(nil) -> nil)")
-    with pytest.raises(NotConsFreeError):
-        run_tabulation(trs, parse_term("f(nil)", trs))
+    for _ in range(2):  # the verdict is kept per system; it still raises
+        with pytest.raises(NotConsFreeError):
+            run_tabulation(trs, parse_term("f(nil)", trs))
+
+
+def test_repeat_runs_on_one_system_are_identical():
+    # what is kept per system must not change a later run on the same object:
+    # each run on `warm` must equal a run on a freshly built copy
+    for make, mode in (
+        (lambda: load_system("membership"), "dense"),
+        (lambda: load_system("mix"), "demand"),
+        (lambda: compile_tm(load_machine("parity")).trs, "demand"),
+    ):
+        warm = make()
+        for bits in ("01", "0110", "", "01"):
+            start = encode_input(bits)
+            want = run_tabulation(make(), start, mode)
+            got = run_tabulation(warm, start, mode)
+            assert got.stats == want.stats, (mode, bits)
+            assert got.b.items == want.b.items, (mode, bits)
+            assert got.dump() == want.dump(), (mode, bits)
+            assert decide(warm, bits, mode) == decide(make(), bits, mode)
 
 
 def test_membership_decide_dense_frozen():
