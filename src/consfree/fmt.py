@@ -16,8 +16,8 @@ start/1 (defined) plus constructors cons/2, nil/0, true/0, false/0, 0/0, 1/0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, format_term, variables
 
@@ -50,188 +50,152 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "(" ")" "," "->" "id" "eof"
-    text: str
-    span: SourceSpan
+# groups: identifier, punctuation, comment, any other character; whitespace
+# matches no group
+_TOKEN = re.compile(r"([A-Za-z0-9_']+)|(->|[(),])|[ \t\r\n]+|(;[^\n]*)|(.)")
+
+# (kind, text, offset): kind is "id", "eof" or the punctuation itself
+Token = tuple[str, str, int]
+# (name, args, offset of the name): a parsed term before symbols are known
+Raw = tuple[str, list, int]
 
 
-def _tokenize(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c in "(),":
-            toks.append(_Token(c, c, SourceSpan(line, col, 1)))
-            i += 1
-            col += 1
-        elif c == "-":
-            if i + 1 < n and src[i + 1] == ">":
-                toks.append(_Token("->", "->", SourceSpan(line, col, 2)))
-                i += 2
-                col += 2
-            else:
-                raise ParseError("stray '-'", SourceSpan(line, col, 1))
-        elif c in IDENT_CHARS:
-            j = i
-            while j < n and src[j] in IDENT_CHARS:
-                j += 1
-            toks.append(_Token("id", src[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", SourceSpan(line, col, 1))
-    toks.append(_Token("eof", "", SourceSpan(line, col, 1)))
+def _error(src: str, message: str, offset: int, text: str) -> ParseError:
+    """The error at the token `text` that starts at `offset` (end of input: "")."""
+    line = src.count("\n", 0, offset) + 1
+    column = offset - src.rfind("\n", 0, offset)
+    return ParseError(message, SourceSpan(line, column, len(text) or 1))
+
+
+def _tokenize(src: str) -> list[Token]:
+    toks: list[Token] = []
+    end = len(src)
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        if group == 1:
+            toks.append(("id", m[1], m.start()))
+        elif group == 2:
+            toks.append((m[2], m[2], m.start()))
+        elif group == 3 and m.end() == len(src):
+            end = m.start()  # input ending in a comment ends where it starts
+        elif group == 4:
+            c = m[4]
+            message = "stray '-'" if c == "-" else f"unexpected character {c!r}"
+            raise _error(src, message, m.start(), c)
+    toks.append(("eof", "", end))
     return toks
-
-
-@dataclass
-class _Raw:
-    name: str
-    args: list["_Raw"]
-    span: SourceSpan
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def take(self, kind: str, what: str = "") -> _Token:
+    def take(self, kind: str, what: str = "") -> Token:
         tok = self.toks[self.pos]
-        if tok.kind != kind:
-            expected = what or f"'{kind}'"
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {expected}, found {found!r}", tok.span)
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            message = f"expected {what or repr(kind)}, found {found!r}"
+            raise _error(self.src, message, tok[2], tok[1])
         self.pos += 1
         return tok
 
     def keyword(self, word: str) -> None:
-        tok = self.take("id", f"'{word}'")
-        if tok.text != word:
-            raise ParseError(f"expected '{word}', found {tok.text!r}", tok.span)
+        _, text, offset = self.take("id", f"'{word}'")
+        if text != word:
+            message = f"expected '{word}', found {text!r}"
+            raise _error(self.src, message, offset, text)
 
-    def term(self) -> _Raw:
-        head = self.take("id", "a term")
-        args: list[_Raw] = []
-        if self.peek().kind == "(":
-            self.take("(")
-            if self.peek().kind != ")":
+    def term(self) -> Raw:
+        _, name, offset = self.take("id", "a term")
+        args: list[Raw] = []
+        if self.peek() == "(":
+            self.pos += 1
+            if self.peek() != ")":
                 args.append(self.term())
-                while self.peek().kind == ",":
-                    self.take(",")
+                while self.peek() == ",":
+                    self.pos += 1
                     args.append(self.term())
             self.take(")")
-        return _Raw(head.text, args, head.span)
+        return name, args, offset
 
-    def file(self) -> tuple[list[tuple[str, SourceSpan]], list[tuple[_Raw, _Raw]]]:
+    def file(self) -> tuple[list[str], list[tuple[Raw, Raw]]]:
         self.take("(")
         self.keyword("VAR")
-        var_list: list[tuple[str, SourceSpan]] = []
-        while self.peek().kind == "id":
-            tok = self.take("id")
-            var_list.append((tok.text, tok.span))
+        var_names: list[str] = []
+        while self.peek() == "id":
+            var_names.append(self.take("id")[1])
         self.take(")")
         self.take("(")
         self.keyword("RULES")
-        raw_rules: list[tuple[_Raw, _Raw]] = []
-        while self.peek().kind != ")":
+        raw_rules: list[tuple[Raw, Raw]] = []
+        while self.peek() != ")":
             lhs = self.term()
             self.take("->", "'->'")
-            rhs = self.term()
-            raw_rules.append((lhs, rhs))
+            raw_rules.append((lhs, self.term()))
         self.take(")")
         self.take("eof", "end of file")
-        return var_list, raw_rules
+        return var_names, raw_rules
+
+
+def _arity_error(src: str, raw: Raw, arity: int) -> ParseError:
+    name, args, offset = raw
+    message = f"{name} used with {len(args)} arguments but has arity {arity}"
+    return _error(src, message, offset, name)
 
 
 def parse_trs(src: str) -> Trs:
-    var_list, raw_rules = _Parser(src).file()
-    var_names = {name for name, _ in var_list}
-    arities: dict[str, tuple[int, SourceSpan]] = {}
+    var_names, raw_rules = _Parser(src).file()
+    var_of = {name: Var(name) for name in var_names}
+    defined = {lhs[0] for lhs, _ in raw_rules}
+    symbols: dict[str, Symbol] = {}  # arity and kind fixed by the first use
 
-    def check_arities(raw: _Raw) -> None:
-        if raw.name in var_names:
-            if raw.args:
-                raise ParseError(
-                    f"variable {raw.name} applied to arguments", raw.span
-                )
-        else:
-            known = arities.get(raw.name)
-            if known is None:
-                arities[raw.name] = (len(raw.args), raw.span)
-            elif known[0] != len(raw.args):
-                raise ParseError(
-                    f"{raw.name} used with {len(raw.args)} arguments "
-                    f"but has arity {known[0]}",
-                    raw.span,
-                )
-        for a in raw.args:
-            check_arities(a)
-
-    for lhs, rhs in raw_rules:
-        check_arities(lhs)
-        check_arities(rhs)
-
-    defined = set()
-    for lhs, _ in raw_rules:
-        if lhs.name in var_names:
-            raise ParseError(
-                "left-hand side must not be a variable", lhs.span
-            )
-        defined.add(lhs.name)
-    symbols = {
-        name: Symbol(
-            name,
-            arity,
-            Kind.DEFINED if name in defined else Kind.CONSTRUCTOR,
-        )
-        for name, (arity, _) in arities.items()
-    }
-
-    def build(raw: _Raw) -> Term:
-        if raw.name in var_names:
-            return Var(raw.name)
-        return App(symbols[raw.name], tuple(build(a) for a in raw.args))
+    def build(raw: Raw, seen: dict[str, int]) -> Term:
+        """Check and build `raw` in pre-order; note each variable's first
+        offset in `seen`."""
+        name, args, offset = raw
+        var = var_of.get(name)
+        if var is not None:
+            if args:
+                message = f"variable {name} applied to arguments"
+                raise _error(src, message, offset, name)
+            seen.setdefault(name, offset)
+            return var
+        sym = symbols.get(name)
+        if sym is None:
+            kind = Kind.DEFINED if name in defined else Kind.CONSTRUCTOR
+            sym = symbols[name] = Symbol(name, len(args), kind)
+        elif sym.arity != len(args):
+            raise _arity_error(src, raw, sym.arity)
+        return App(sym, tuple([build(a, seen) for a in args]))
 
     rules = []
+    loose_error = None
     for lhs, rhs in raw_rules:
-        lt, rt = build(lhs), build(rhs)
-        loose = variables(rt) - variables(lt)
+        lhs_vars: dict[str, int] = {}
+        rhs_vars: dict[str, int] = {}
+        lt, rt = build(lhs, lhs_vars), build(rhs, rhs_vars)
+        loose = [v for v in rhs_vars if v not in lhs_vars]
         if loose:
-
-            def find(raw: _Raw) -> Optional[SourceSpan]:
-                if raw.name in loose:
-                    return raw.span
-                for a in raw.args:
-                    hit = find(a)
-                    if hit is not None:
-                        return hit
-                return None
-
-            raise ParseError(
-                f"right-hand side variable {sorted(loose)[0]} "
-                "does not occur on the left",
-                find(rhs) or rhs.span,
-            )
-        rules.append(Rule(lt, rt))
-    signature = tuple(symbols[name] for name in sorted(symbols))
-    return Trs(signature, tuple(rules))
+            if loose_error is None:
+                message = (
+                    f"right-hand side variable {min(loose)} does not occur on the left"
+                )
+                loose_error = _error(src, message, rhs_vars[loose[0]], loose[0])
+        elif isinstance(lt, App):
+            rules.append(Rule(lt, rt))
+    # arity errors anywhere come first, then variable left-hand sides
+    for (name, _, offset), _ in raw_rules:
+        if name in var_of:
+            message = "left-hand side must not be a variable"
+            raise _error(src, message, offset, name)
+    if loose_error is not None:
+        raise loose_error
+    return Trs(tuple(symbols[name] for name in sorted(symbols)), tuple(rules))
 
 
 def print_trs(trs: Trs) -> str:
@@ -255,17 +219,14 @@ def parse_term(src: str, trs: Trs) -> Term:
     parser.take("eof", "end of term")
     by_name = {s.name: s for s in trs.signature}
 
-    def build(r: _Raw) -> Term:
-        sym = by_name.get(r.name)
+    def build(r: Raw) -> Term:
+        name, args, offset = r
+        sym = by_name.get(name)
         if sym is None:
-            raise ParseError(f"unknown symbol {r.name}", r.span)
-        if sym.arity != len(r.args):
-            raise ParseError(
-                f"{r.name} used with {len(r.args)} arguments "
-                f"but has arity {sym.arity}",
-                r.span,
-            )
-        return App(sym, tuple(build(a) for a in r.args))
+            raise _error(src, f"unknown symbol {name}", offset, name)
+        if sym.arity != len(args):
+            raise _arity_error(src, r, sym.arity)
+        return App(sym, tuple([build(a) for a in args]))
 
     return build(raw)
 

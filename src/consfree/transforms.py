@@ -103,12 +103,21 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
     return go(t)
 
 
-def _fresh(base: str, used: set[str], j: int) -> str:
-    name = f"{base}__{j}"
+def _fresh(name: str, used: set[str]) -> str:
+    """`name`, primed until it is not in `used`; the result joins `used`.
+
+    New variables must avoid the signature's names as well as the rule's own
+    variables: print_trs declares every variable for the whole file."""
     while name in used:
         name += "'"
     used.add(name)
     return name
+
+
+def _pattern_vars(arity: int, names: set[str]) -> tuple[Var, ...]:
+    """Variables x1, ..., x<arity>, primed away from `names`."""
+    used = set(names)
+    return tuple(Var(_fresh(f"x{i}", used)) for i in range(1, arity + 1))
 
 
 def semi_linearize(trs: Trs) -> Trs:
@@ -123,18 +132,19 @@ def semi_linearize(trs: Trs) -> Trs:
     check_constrained(trs)
     counts = compute_counts(trs)
     sigmap = signature_map(trs, counts)
+    names = set(sigmap)
     new_rules: list[Rule] = []
     for rule in trs.rules:
         lhs = rule.lhs
         assert isinstance(lhs, App)
-        used = set(variables(lhs) | variables(rule.rhs))
+        used = variables(lhs) | variables(rule.rhs) | names
         new_args: list[Term] = []
         copies: dict[str, list[str]] = {}
         for i, arg in enumerate(lhs.args, start=1):
             k = counts.of(lhs.head.name, i)
             new_args.append(arg)
             base = arg.name if isinstance(arg, Var) else f"x{i}"
-            extras = [_fresh(base, used, j) for j in range(2, k + 1)]
+            extras = [_fresh(f"{base}__{j}", used) for j in range(2, k + 1)]
             new_args.extend(Var(x) for x in extras)
             if isinstance(arg, Var):
                 copies[arg.name] = [arg.name, *extras]
@@ -155,15 +165,10 @@ def semi_linearize(trs: Trs) -> Trs:
         new_rules.append(Rule(new_lhs, phi(trs, counts, spread(rule.rhs))))
 
     if has_decision_interface(trs):
-        names = {s.name for s in sigmap.values()}
-        wrapper_name = "start'"
-        while wrapper_name in names:
-            wrapper_name += "'"
-        wrapper = Symbol(wrapper_name, 1, Kind.DEFINED)
+        wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
         start = trs.symbol("start")
         for c in trs.constructors():
-            xs = tuple(Var(f"x{i}") for i in range(1, c.arity + 1))
-            pattern = App(c, xs)
+            pattern = App(c, _pattern_vars(c.arity, names))
             new_rules.append(
                 Rule(
                     App(wrapper, (pattern,)),
@@ -185,13 +190,13 @@ def semi_linearize(trs: Trs) -> Trs:
 def bottom_extend(trs: Trs) -> Trs:
     """Add a fresh constant bot and a rule f(...) -> bot per defined symbol."""
     require_cons_free(trs)
-    if any(s.name == "bot" for s in trs.signature):
+    names = {s.name for s in trs.signature}
+    if "bot" in names:
         raise ValueError("signature already uses the name bot")
     bot = Symbol("bot", 0, Kind.CONSTRUCTOR)
     new_rules = list(trs.rules)
     for sym in trs.defined():
-        xs = tuple(Var(f"x{i}") for i in range(1, sym.arity + 1))
-        new_rules.append(Rule(App(sym, xs), App(bot)))
+        new_rules.append(Rule(App(sym, _pattern_vars(sym.arity, names)), App(bot)))
     return make_trs(new_rules, (bot,))
 
 

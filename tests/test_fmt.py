@@ -41,24 +41,31 @@ def test_comments_and_whitespace_insignificant():
     assert same_rules(parse_trs(packed), parse_trs(MEMBERSHIP))
 
 
+PARSE_ERRORS = [
+    ("(VAR x)(RULES f(x(nil)) -> x)", "1:17", "variable x applied"),
+    ("(VAR x)(RULES f(x) -> g(x) g(x, x) -> x)", "1:28", "used with 2 arguments"),
+    ("(VAR x)(RULES x -> f(x))", "1:15", "must not be a variable"),
+    ("(VAR x y)(RULES f(x) -> y)", "1:25", "does not occur on the left"),
+    ("(VAR x)(RULES f(x) - x)", "1:20", "stray '-'"),
+    ("(VAR x)(RULES f(x) -> #)", "1:23", "unexpected character"),
+    ("(VAR x)(OOPS f(x) -> x)", "1:9", "expected 'RULES'"),
+    ("(VAR x)(RULES f(x) -> x", "1:24", "expected a term"),
+    ("(VAR x (RULES f(x) -> x)", "1:8", "expected '\\)'"),
+    ("(VAR x)(RULES f(x) -> x) junk", "1:26", "end of file"),
+    # end of input inside a final comment is reported where the comment starts
+    ("(VAR x)(RULES f(x) -> x ; trailing", "1:25", "expected a term"),
+    ("(VAR x)\n(RULES\n  f(x) -> x  ; no closing paren", "3:14", "expected a term"),
+]
+
+
+# the ids leave out the position, so each case keeps the name it had without one
 @pytest.mark.parametrize(
-    "src, message",
-    [
-        ("(VAR x)(RULES f(x(nil)) -> x)", "variable x applied"),
-        ("(VAR x)(RULES f(x) -> g(x) g(x, x) -> x)", "used with 2 arguments"),
-        ("(VAR x)(RULES x -> f(x))", "must not be a variable"),
-        ("(VAR x y)(RULES f(x) -> y)", "does not occur on the left"),
-        ("(VAR x)(RULES f(x) - x)", "stray '-'"),
-        ("(VAR x)(RULES f(x) -> #)", "unexpected character"),
-        ("(VAR x)(OOPS f(x) -> x)", "expected 'RULES'"),
-        ("(VAR x)(RULES f(x) -> x", "expected a term"),
-        ("(VAR x (RULES f(x) -> x)", "expected '\\)'"),
-        ("(VAR x)(RULES f(x) -> x) junk", "end of file"),
-    ],
+    "src, position, message", PARSE_ERRORS, ids=[f"{s}-{m}" for s, _, m in PARSE_ERRORS]
 )
-def test_parse_errors(src, message):
-    with pytest.raises(ParseError, match=message):
+def test_parse_errors(src, position, message):
+    with pytest.raises(ParseError, match=message) as info:
         parse_trs(src)
+    assert str(info.value).startswith(f"{position}: ")
 
 
 def test_parse_error_carries_position():
@@ -84,6 +91,11 @@ def _roundtrip_systems():
         yield f"bottom_extend({name})", bottom_extend(trs)
     for path in sorted(MACHINES.glob("*.tm")):
         yield f"compile_tm({path.stem})", compile_tm(load_machine(path.stem)).trs
+    # new variables are named away from constants that look like them
+    clash = parse_trs("(VAR x y)(RULES f(y) -> g(y, y) g(x, y) -> y__2)")
+    yield "semi_linearize(y__2 clash)", semi_linearize(clash)
+    clash = parse_trs("(VAR y)(RULES f(y) -> x1 g(nil) -> nil)")
+    yield "bottom_extend(x1 clash)", bottom_extend(clash)
 
 
 def test_print_parse_roundtrip_corpus():
@@ -93,8 +105,9 @@ def test_print_parse_roundtrip_corpus():
         assert same_rules(trs, back), name
         assert back.signature == trs.signature, name
         seen += 1
-    # every corpus system is constrained: 12 originals, 36 transforms, 3 machines
-    assert seen == 51
+    # every corpus system is constrained: 12 originals, 36 transforms,
+    # 3 machines, 2 name clashes
+    assert seen == 53
 
 
 def test_print_trs_shape():

@@ -1,8 +1,10 @@
-"""Every name a module under src/consfree imports is used in that module.
+"""Every name a module under src/consfree imports is used in that module,
+and every private module-level name and nested function it defines is read
+in that module.
 
-A stdlib stand-in for a linter's unused-import rule, so the suite needs no
-extra dependency.  `__init__.py` is exempt: its imports are the package's
-re-exports.
+A stdlib stand-in for a linter's unused-import and dead-code rules, so the
+suite needs no extra dependency.  `__init__.py` is exempt from the import
+check: its imports are the package's re-exports.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "consfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,12 +32,60 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_name` functions, classes and assignments, and functions
+    defined inside functions, that nothing outside their own definition reads."""
+    tree = ast.parse(source)
+    bound: list[tuple[str, ast.stmt]] = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCS, ast.ClassDef)):
+            bound.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    bound = [(name, node) for name, node in bound
+             if name.startswith("_") and not name.startswith("__")]
+    for outer in ast.walk(tree):
+        if isinstance(outer, FUNCS):
+            bound += [(inner.name, inner) for inner in ast.walk(outer)
+                      if inner is not outer and isinstance(inner, FUNCS)]
+    reads = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for name, node in bound:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(n.id == name and id(n) not in inside for n in reads):
+            unread.append(f"{name} (line {node.lineno})")
+    return unread
+
+
 def test_checker_flags_unused_and_accepts_used():
     src = "from __future__ import annotations\nimport os\nfrom x import a, b\nb()\n"
     assert unused_imports(src) == ["os (line 2)", "a (line 3)"]
     assert unused_imports("import os.path\nos.path.join()\n") == []
 
 
+def test_private_name_checker_flags_unread_and_accepts_read():
+    src = (
+        "def _dead(n):\n    return _dead(n - 1)\n"  # reads only itself
+        "class _Gone:\n    pass\n"
+        "_UNUSED: int = 1\n_USED = 2\n__all__ = []\n"
+        "def _live():\n    return _USED\n"
+        "def public():\n    def go(n):\n        return go(n)\n    return _live()\n"
+    )
+    assert unread_private_names(src) == [
+        "_dead (line 1)", "_Gone (line 3)", "_UNUSED (line 5)", "go (line 11)"
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
