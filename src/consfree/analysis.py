@@ -213,11 +213,11 @@ def compute_b(trs: Trs, start: Term) -> BSet:
     items: list[Term] = []
     seen: set[Term] = set()
     _add_data_subterms(start, items, seen)
-    items.extend(t for t in _rhs_data(trs) if t not in seen)
+    items.extend(t for t in rhs_data(trs) if t not in seen)
     return BSet(tuple(items))
 
 
-def _rhs_data(trs: Trs) -> tuple[Term, ...]:
+def rhs_data(trs: Trs) -> tuple[Term, ...]:
     """Data subterms of the right-hand sides in file order, once per system."""
     pool = trs.memo.get("rhs_data")
     if pool is None:

@@ -25,7 +25,15 @@ Two modes:
   lose derivations that feed the start term).  This is what makes compiled
   Turing machines, whose symbols have higher arities, affordable to run.
 
-Table values are stored as integer bitmasks over B indices.
+Table values are bitmasks over B indices, and a fill builds and hashes no
+term: cons-freeness makes every constructor-rooted rhs subterm ground data or
+a piece of the lhs (data values are pointers into the input, as in Jones).
+Each rule is compiled once per system, on first use, into a plan kept in
+`Trs.memo`: head tests along child-index paths for the lhs, and a body of
+lhs positions, ground constants and defined nodes for the rhs.  Per run, a B
+item is a head and its children's indices; the start term and `nf`'s term are
+converted to indices once.  `basic_ops` counts the sites a term-walking
+evaluator would, a node shared by identity once, so the counts are the same.
 """
 
 from __future__ import annotations
@@ -33,14 +41,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
+from typing import Callable, Iterator, Literal, Optional
 
 from . import __version__
-from .analysis import BSet, compute_b, is_b_safe, require_cons_free
+from .analysis import BSet, compute_b, is_b_safe, require_cons_free, rhs_data
 from .fmt import encode_input, require_decision_interface
-from .terms import App, Kind, Rule, Term, Trs, Var, format_term, size, variables
+from .terms import Kind, Rule, Term, Trs, Var, format_term, is_data, size
 
 Mode = Literal["dense", "demand"]
+Key = tuple[str, tuple[int, ...]]  # a defined symbol's name and argument B indices
 
 _ROOT = ("", ())
 
@@ -56,16 +65,8 @@ class TabulationStats:
     b_size: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_size": self.input_size,
-                "max_arity": self.max_arity,
-                "generations": self.generations,
-                "basic_ops": self.basic_ops,
-                "bound_value": self.bound_value,
-                "version": __version__,
-            }
-        )
+        keys = ("input_size", "max_arity", "generations", "basic_ops", "bound_value")
+        return json.dumps({k: getattr(self, k) for k in keys} | {"version": __version__})
 
 
 def stats_bound_check(stats: TabulationStats, c: float) -> bool:
@@ -84,7 +85,7 @@ def generations_bound_check(stats: TabulationStats) -> bool:
 @dataclass
 class ConfirmedTable:
     b: BSet
-    entries: dict[tuple[str, tuple[int, ...]], int]  # value bitmask per key
+    entries: dict[Key, int]  # value bitmask per key
     trs: Trs
     stats: TabulationStats
 
@@ -111,145 +112,158 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _compile(t: Term, leaf: Callable[[Term], int]) -> tuple:
+    """Body (leaves, nodes) of t.  `leaf` gives each variable or
+    constructor-rooted subterm as a register (>= 0) or a ground constant ~k,
+    k its place in the rhs data pool.  `nodes` are the defined nodes in
+    post-order, a name and operand slots each; slots number the leaves, then
+    the nodes.  A node occurring twice by identity is compiled once."""
+    leaves: list[int] = []
+    nodes: list[tuple[str, list[int]]] = []
+    ref: dict[int, int] = {}  # id(u) -> leaf slot, or ~node
+
+    def go(u: Term) -> int:
+        r = ref.get(id(u))
+        if r is None:
+            if isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR:
+                leaves.append(leaf(u))
+                r = len(leaves) - 1
+            else:
+                args = [go(a) for a in u.args]
+                nodes.append((u.head.name, args))
+                r = ~(len(nodes) - 1)
+            ref[id(u)] = r
+        return r
+
+    go(t)
+    n = len(leaves)
+    return tuple(leaves), tuple(
+        (name, tuple(s if s >= 0 else n + ~s for s in args)) for name, args in nodes
+    )
+
+
+class _Plans:
+    """Each rule's plan, compiled on first use: head tests and a body.  A test
+    (r, h) checks that register r holds a B item with head code h and appends
+    the item's children as registers; registers start as the key's arguments.
+    The lhs is linear, so no test compares two registers."""
+
+    def __init__(self, trs: Trs):
+        self.by_head = trs.by_head
+        self.code = {s: i for i, s in enumerate(trs.signature)}
+        self.pool = rhs_data(trs)
+        self._pool_slot = {t: k for k, t in enumerate(self.pool)}
+        self._rules: dict[int, tuple] = {}
+        self._candidates: dict[tuple, list[tuple]] = {}
+
+    def candidates(self, name: str, heads: tuple[int, ...]) -> list[tuple]:
+        """Plans of `name`'s rules whose argument roots have these heads;
+        compiled systems carry hundreds of rules, most ruled out here."""
+        hit = self._candidates.get((name, heads))
+        if hit is None:
+            hit = self._candidates[(name, heads)] = [
+                self._plan(i, rule)
+                for i, rule in self.by_head.get(name, ())
+                if all(
+                    isinstance(p, Var) or self.code[p.head] == h
+                    for p, h in zip(rule.lhs.args, heads)
+                )
+            ]
+        return hit
+
+    def _plan(self, i: int, rule: Rule) -> tuple:
+        plan = self._rules.get(i)
+        if plan is None:
+            regs = list(rule.lhs.args)
+            tests = []
+            for r, p in enumerate(regs):  # grows as tests add children
+                if not isinstance(p, Var):
+                    tests.append((r, self.code[p.head]))
+                    regs.extend(p.args)
+
+            def leaf(t: Term) -> int:
+                if is_data(t):
+                    return ~self._pool_slot[t]
+                return regs.index(t)  # a variable or lhs subterm, unique by linearity
+
+            plan = self._rules[i] = (tuple(tests), _compile(rule.rhs, leaf))
+        return plan
+
+
 class _Engine:
     def __init__(self, trs: Trs, b: BSet):
+        plans = trs.memo.get("plans") or trs.memo.setdefault("plans", _Plans(trs))
+        self.plans = plans
         self.trs = trs
         self.b = b
         self.ops = 0
-        self.table: dict[tuple[str, tuple[int, ...]], int] = {}
-        # per system, not per input: each symbol's rules pruned by the root
-        # heads of a key's arguments
-        self._pruned: dict[tuple, list[Rule]] = trs.memo.setdefault("candidates", {})
-        self._const_idx: dict[int, int] = {}
-        self._inst_idx: dict[tuple, int] = {}
-        self._term_vars: dict[int, tuple[str, ...]] = {}
-        self._candidates: dict[tuple[str, tuple[int, ...]], list[Rule]] = {}
+        self.table: dict[Key, int] = {}
+        # each B item as a head code and its children's B indices
+        self.heads = [plans.code.get(t.head, -1) for t in b.items]
+        self.kids = [tuple(b.index[a] for a in t.args) for t in b.items]
+        self.consts = [b.index.get(t) for t in plans.pool]
+        if None in self.consts:
+            t = plans.pool[self.consts.index(None)]
+            raise ValueError(f"term {format_term(t)} is outside the data universe")
+        self._bit_tuples: dict[int, tuple[int, ...]] = {}
 
-    # -- term machinery ----------------------------------------------------
+    def _ground(self, t: Term) -> tuple[tuple, list[int]]:
+        """Body and registers of a ground term, its data looked up as its own
+        objects, so that dict identity spares a deep compare."""
+        regs: list[int] = []
 
-    def _bind(self, pat: Term, term: Term, env: dict[str, int]) -> bool:
-        if isinstance(pat, Var):
-            idx = self.b.index.get(term)
-            if idx is None:
-                return False
-            prev = env.get(pat.name)
-            if prev is None:
-                env[pat.name] = idx
-                return True
-            return prev == idx
-        # identity first; input data carries its own equal Symbol objects
-        if isinstance(term, Var) or (pat.head is not term.head and pat.head != term.head):
-            return False
-        return all(self._bind(p, s, env) for p, s in zip(pat.args, term.args))
+        def leaf(u: Term) -> int:
+            regs.append(self.b.index[u])
+            return len(regs) - 1
 
-    def _match_key(
-        self, patterns: tuple[Term, ...], combo: tuple[int, ...]
-    ) -> Optional[dict[str, int]]:
-        env: dict[str, int] = {}
-        for pat, idx in zip(patterns, combo):
-            if not self._bind(pat, self.b.items[idx], env):
-                return None
-        return env
+        return _compile(t, leaf), regs
 
-    def _data_index(self, t: Term, env: dict[str, int]) -> int:
-        # the caches key on id(t): rhs subterms stay alive inside self.trs
-        cached = self._const_idx.get(id(t))
-        if cached is not None:
-            return cached
-        names = self._term_vars.get(id(t))
-        if names is None:
-            names = tuple(sorted(variables(t)))
-            self._term_vars[id(t)] = names
-        key = (id(t), *(env[n] for n in names))
-        cached = self._inst_idx.get(key)
-        if cached is not None:
-            return cached
+    def _values(self, body: tuple, regs: list[int], reads: Optional[set]) -> int:
+        """Bitmask of possible values of `body` against the current table."""
+        leaves, nodes = body
+        consts = self.consts
+        vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
+        if not nodes:
+            return 1 << vals[0][0]
+        get = self.table.get
+        tuples = self._bit_tuples
+        ops = self.ops
+        for name, slots in nodes:
+            ops += 1  # nf cache miss
+            mask = 0
+            for combo in itertools.product(*[vals[s] for s in slots]):
+                key = (name, combo)
+                ops += 1  # table lookup
+                if reads is not None:
+                    reads.add(key)
+                mask |= get(key, 0)
+            bits = tuples.get(mask)
+            if bits is None:
+                bits = tuples[mask] = tuple(_bits(mask))
+            vals.append(bits)
+        self.ops = ops
+        return mask
 
-        def instantiate(u: Term) -> Term:
-            if isinstance(u, Var):
-                return self.b.items[env[u.name]]
-            return App(u.head, tuple(instantiate(a) for a in u.args))
-
-        term = instantiate(t)
-        idx = self.b.index.get(term)
-        if idx is None:
-            raise ValueError(
-                f"term {format_term(term)} is outside the data universe; "
-                "the input is not safe for this run"
-            )
-        if names:
-            self._inst_idx[key] = idx
-        else:
-            self._const_idx[id(t)] = idx
-        return idx
-
-    def eval(
-        self,
-        t: Term,
-        env: dict[str, int],
-        memo: dict[int, int],
-        reads: Optional[set],
-    ) -> int:
-        """Bitmask of possible values of t*env against the current table."""
-        if isinstance(t, Var):
-            return 1 << env[t.name]
-        if t.head.kind is Kind.CONSTRUCTOR:
-            return 1 << self._data_index(t, env)
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit
-        self.ops += 1  # nf cache miss
-        masks = [self.eval(a, env, memo, reads) for a in t.args]
-        result = 0
-        for combo in itertools.product(*(tuple(_bits(m)) for m in masks)):
-            key = (t.head.name, combo)
-            self.ops += 1  # table lookup
-            if reads is not None:
-                reads.add(key)
-            result |= self.table.get(key, 0)
-        memo[id(t)] = result
-        return result
-
-    def _rules_for_key(self, key: tuple[str, tuple[int, ...]]) -> list[Rule]:
-        # prune rules whose argument patterns have the wrong root constructor;
-        # compiled systems carry hundreds of rules.  The pruned list depends
-        # only on the argument heads, so it is kept per system under those,
-        # and per engine under the key, whose B indices hash faster
-        hit = self._candidates.get(key)
-        if hit is None:
-            name, combo = key
-            heads = tuple(self.b.items[idx].head for idx in combo)
-            hit = self._pruned.get((name, heads))
-            if hit is None:
-                hit = [
-                    rule
-                    for _, rule in self.trs.by_head.get(name, ())
-                    if all(
-                        not isinstance(pat, App) or pat.head is h or pat.head == h
-                        for pat, h in zip(rule.lhs.args, heads)
-                    )
-                ]
-                self._pruned[(name, heads)] = hit
-            self._candidates[key] = hit
-        return hit
-
-    def _update_key(
-        self, key: tuple[str, tuple[int, ...]], reads: Optional[set]
-    ) -> int:
+    def _update_key(self, key: Key, reads: Optional[set]) -> int:
         value = self.table.get(key, 0)
-        for rule in self._rules_for_key(key):
+        name, combo = key
+        heads, kids = self.heads, self.kids
+        for tests, body in self.plans.candidates(name, tuple(heads[i] for i in combo)):
             self.ops += 1  # rule-match attempt
-            env = self._match_key(rule.lhs.args, combo=key[1])
-            if env is not None:
-                value |= self.eval(rule.rhs, env, {}, reads)
+            regs = list(combo)
+            for r, h in tests:
+                idx = regs[r]
+                if heads[idx] != h:
+                    break
+                regs += kids[idx]
+            else:
+                value |= self._values(body, regs, reads)
         return value
 
     def _commit(self, updates: dict) -> None:
         for key, value in updates.items():
             self.ops += (value ^ self.table.get(key, 0)).bit_count()  # insertions
             self.table[key] = value
-
-    # -- dense mode ---------------------------------------------------------
 
     def run_dense(self) -> int:
         n = len(self.b)
@@ -268,19 +282,17 @@ class _Engine:
                 return sweeps
             self._commit(updates)
 
-    # -- demand mode ----------------------------------------------------------
-
-    def run_demand(self, root: Term) -> tuple[int, int]:
+    def run_demand(self, root: Term) -> int:
         """Saturate only the keys read while evaluating `root`.
 
-        Returns (sweeps, value mask of root).  Each sweep re-evaluates the
-        dirty keys against the previous sweep's committed table, so the value
-        trajectory matches the dense schedule restricted to this cone.
+        Returns the number of sweeps.  Each sweep re-evaluates the dirty keys
+        against the previous sweep's committed table, so the value trajectory
+        matches the dense schedule restricted to this cone.
         """
         dependents: dict[tuple, set] = {}
         scheduled = {_ROOT}
         dirty = {_ROOT}
-        root_mask = 0
+        root_body, root_regs = self._ground(root)
         sweeps = 0
         while dirty:
             sweeps += 1
@@ -288,28 +300,22 @@ class _Engine:
             batch = sorted(dirty)
             dirty = set()
             updates: dict = {}
-            root_update = None
             for key in batch:
                 reads: set = set()
                 if key == _ROOT:
-                    value = self.eval(root, {}, {}, reads)
-                    if value != root_mask:
-                        root_update = value
+                    self._values(root_body, root_regs, reads)
                 else:
                     value = self._update_key(key, reads)
                     if value != self.table.get(key, 0):
                         updates[key] = value
                 for r in reads:
                     dependents.setdefault(r, set()).add(key)
-                    if r not in scheduled:
-                        scheduled.add(r)
-                        dirty.add(r)
+                dirty |= reads - scheduled
+                scheduled |= reads
             self._commit(updates)
             for key in updates:
                 dirty |= dependents.get(key, set())
-            if root_update is not None:
-                root_mask = root_update
-        return sweeps, root_mask
+        return sweeps
 
 
 def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTable:
@@ -323,27 +329,17 @@ def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTabl
     if mode == "dense":
         generations = engine.run_dense()
     elif mode == "demand":
-        generations, _ = engine.run_demand(start)
+        generations = engine.run_demand(start)
     else:
         raise ValueError(f"unknown tabulation mode {mode!r}")
     defined = trs.defined()
-    max_arity = max((s.arity for s in defined), default=0)
+    k = max((s.arity for s in defined), default=0)
     n = size(start)
     stats = TabulationStats(
-        input_size=n,
-        max_arity=max_arity,
-        generations=generations,
-        basic_ops=engine.ops,
-        bound_value=n ** (3 * max_arity + 3),
-        defined_count=len(defined),
-        b_size=len(b),
+        n, k, generations, engine.ops, n ** (3 * k + 3), len(defined), len(b)
     )
-    return ConfirmedTable(
-        b=b,
-        entries={k: v for k, v in engine.table.items() if v},
-        trs=trs,
-        stats=stats,
-    )
+    entries = {key: v for key, v in engine.table.items() if v}
+    return ConfirmedTable(b=b, entries=entries, trs=trs, stats=stats)
 
 
 def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
@@ -352,16 +348,14 @@ def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
         raise ValueError(f"term {format_term(t)} is not B-safe for this table")
     engine = _Engine(table.trs, table.b)
     engine.table = table.entries
-    mask = engine.eval(t, {}, {}, None)
+    mask = engine._values(*engine._ground(t), None)
     return frozenset(table.b.items[i] for i in _bits(mask))
 
 
-def decide(
-    trs: Trs, bits: str, mode: Mode = "dense"
-) -> tuple[bool, TabulationStats]:
+def decide(trs: Trs, bits: str, mode: Mode = "dense") -> tuple[bool, TabulationStats]:
     """Does start(bit list) evaluate to true, by tabulation?"""
     require_decision_interface(trs)
     start = encode_input(bits)
     table = run_tabulation(trs, start, mode)
-    true_term = App(trs.symbol("true"))
-    return true_term in nf(table, start), table.stats
+    true = trs.symbol("true")  # a constant, by the decision interface
+    return any(t.head == true for t in nf(table, start)), table.stats

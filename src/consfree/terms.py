@@ -81,11 +81,15 @@ def size(t: Term) -> int:
 
 
 def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
+    """Names of the variables in t, by one walk into one set."""
     out: set[str] = set()
-    for a in t.args:
-        out |= variables(a)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            out.add(u.name)
+        else:
+            todo.extend(u.args)
     return out
 
 

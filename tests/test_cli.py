@@ -101,6 +101,25 @@ def test_decide_table_yes(capsys):
     assert stats["version"] == __version__
 
 
+@pytest.mark.parametrize("mode", ["dense", "demand"])
+def test_decide_long_input_under_default_recursion_limit(mode):
+    # its own process, so conftest's raised recursion limit does not apply;
+    # a crash would exit 1, the code for "no"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "decide", MEM, "0" * 300,
+         "--table-mode", mode],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "yes"
+
+
 def test_decide_table_no(capsys):
     code, out, _ = run(capsys, "decide", MEM, "0100", "--table-mode", "demand")
     assert code == 1

@@ -1,9 +1,9 @@
 import itertools
 import json
 
-from consfree.analysis import NotConsFreeError
+from consfree.analysis import BSet, NotConsFreeError
 from consfree.engine import reachable_data
-from consfree.fmt import encode_input, parse_term, parse_trs
+from consfree.fmt import encode_input, parse_term, parse_trs, print_trs
 from consfree.tabulation import (
     decide,
     generations_bound_check,
@@ -177,3 +177,47 @@ def test_nondeterminism_accumulates_both_values():
     table = run_tabulation(choose, encode_input(""))
     coin = parse_term("coin", choose)
     assert {format_term(t) for t in nf(table, coin)} == {"true", "false"}
+
+
+def test_demand_counts_frozen_on_shared_rhs_nodes():
+    # compiled machines share right-hand-side nodes by identity, and a shared
+    # node is evaluated and counted once per rule firing; the reparsed copy
+    # shares nothing, so it counts every occurrence
+    parity = compile_tm(load_machine("parity")).trs
+    cases = (
+        (parity, (False, 201, 7201)),
+        (parse_trs(print_trs(parity)), (False, 201, 16883)),
+        (compile_tm(load_machine("square")).trs, (True, 395, 20620)),
+    )
+    for trs, want in cases:
+        yes, stats = decide(trs, "0110", "demand")
+        assert (yes, stats.generations, stats.basic_ops) == want
+
+
+def test_fill_builds_no_terms(monkeypatch):
+    machine = compile_tm(load_machine("contains11")).trs
+    mem = load_system("membership")
+    runs = [(machine, encode_input("0110"), "demand"), (mem, encode_input("0000"), "dense")]
+    built = []
+    original = App.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(App, "__post_init__", counting)
+    for trs, start, mode in runs:
+        table = run_tabulation(trs, start, mode)
+        assert nf(table, start)
+    assert built == []
+
+
+def test_nf_rejects_table_missing_rhs_data():
+    # every ground constant of a right-hand side is in B by construction; a
+    # table whose universe lacks one is refused, not misread
+    mem = load_system("membership")
+    table = run_tabulation(mem, encode_input("0"))
+    nil = parse_term("nil", mem)
+    table.b = BSet((nil,))
+    with pytest.raises(ValueError, match="outside the data universe"):
+        nf(table, nil)
