@@ -230,6 +230,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
+        sizes = None
+    if sizes is None or any(n < 0 for n in sizes):
         raise ValueError(f"bad --sizes value {args.sizes!r}")
     if not sizes:
         raise ValueError("at least one size is required")
@@ -238,7 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _, stats = decide(trs, bits, mode=args.table_mode)
         rows.append(stats)
     slope = ""
-    if len(rows) >= 2:
+    if len(set(sizes)) >= 2:  # a fit needs two distinct sizes
         fit = statistics.linear_regression(
             [math.log(r.input_size) for r in rows],
             [math.log(r.basic_ops) for r in rows],

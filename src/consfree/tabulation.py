@@ -18,12 +18,20 @@ Two modes:
 - "dense": literally sweep every key (every defined symbol, every argument
   tuple over B) per generation.  This is the reference procedure whose
   operation count obeys the O(n^(3k+3)) bound (k = max defined arity).
-- "demand": same monotone update, restricted to the keys transitively read
-  while evaluating the start term, with clean keys skipped.  Values agree
-  with the dense fixpoint on every demanded key (skipping a key whose reads
-  did not change cannot alter its value; restricting to the read cone cannot
-  lose derivations that feed the start term).  This is what makes compiled
-  Turing machines, whose symbols have higher arities, affordable to run.
+- "demand": tabled evaluation of only the keys transitively read while
+  evaluating the start term.  A key is evaluated when it is first read, after
+  the keys it reads (an explicit stack, not Python recursion), and evaluated
+  again only inside a strongly connected component of the read graph, found
+  by Tarjan lowlinks: passes over its members, each against the latest
+  values, until one changes nothing (SCC completion, as in Chen and Warren's
+  tabling).  On an acyclic cone, which the bundled machines have, each key is
+  evaluated once.  Values agree with the dense fixpoint on every demanded key:
+  a complete key's reads are complete, and a component's last pass is a
+  fixpoint over its members.  Demand `generations` is 1 plus the number of
+  passes that set a new fact, so it is 1 on an acyclic cone, and `basic_ops`
+  counts one fixpoint comparison per pass instead of per sweep.  This is what
+  makes compiled Turing machines, whose symbols have higher arities,
+  affordable to run.
 
 Table values are bitmasks over B indices, and a fill builds and hashes no
 term: cons-freeness makes every constructor-rooted rhs subterm ground data or
@@ -41,7 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, Optional
+from typing import Callable, Iterator, Literal
 
 from . import __version__
 from .analysis import BSet, compute_b, is_b_safe, require_cons_free, rhs_data
@@ -50,8 +58,6 @@ from .terms import Kind, Rule, Term, Trs, Var, format_term, is_data, size
 
 Mode = Literal["dense", "demand"]
 Key = tuple[str, tuple[int, ...]]  # a defined symbol's name and argument B indices
-
-_ROOT = ("", ())
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,8 @@ def stats_bound_check(stats: TabulationStats, c: float) -> bool:
 
 def generations_bound_check(stats: TabulationStats) -> bool:
     """Auxiliary: a fresh fact per generation caps generations by the number
-    of table cells, |D| * |B|^(k+1), plus the final unchanged sweep."""
+    of table cells, |D| * |B|^(k+1), plus one: dense mode's final unchanged
+    sweep, or demand mode's first generation."""
     return stats.generations <= (
         stats.defined_count * stats.b_size ** (stats.max_arity + 1) + 1
     )
@@ -190,6 +197,18 @@ class _Plans:
         return plan
 
 
+class _Frame:
+    """A running evaluation on `run_demand`'s stack: `index` is its key's
+    place on the stack of open keys, `low` the least place it reached, and
+    `cyclic` whether it read an open key."""
+
+    __slots__ = ("gen", "index", "low", "cyclic")
+
+    def __init__(self, index: int):
+        self.index = self.low = index
+        self.cyclic = False
+
+
 class _Engine:
     def __init__(self, trs: Trs, b: BSet):
         plans = trs.memo.get("plans") or trs.memo.setdefault("plans", _Plans(trs))
@@ -206,6 +225,12 @@ class _Engine:
             t = plans.pool[self.consts.index(None)]
             raise ValueError(f"term {format_term(t)} is outside the data universe")
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
+        # demand mode: complete keys, whose values are final, and the open
+        # keys in Tarjan's stack order with each one's place on it
+        self._done: set[Key] = set()
+        self._stack: list[Key] = []
+        self._open: dict[Key, int] = {}
+        self.generations = 1
 
     def _ground(self, t: Term) -> tuple[tuple, list[int]]:
         """Body and registers of a ground term, its data looked up as its own
@@ -218,7 +243,7 @@ class _Engine:
 
         return _compile(t, leaf), regs
 
-    def _values(self, body: tuple, regs: list[int], reads: Optional[set]) -> int:
+    def _values(self, body: tuple, regs: list[int]) -> int:
         """Bitmask of possible values of `body` against the current table."""
         leaves, nodes = body
         consts = self.consts
@@ -232,11 +257,8 @@ class _Engine:
             ops += 1  # nf cache miss
             mask = 0
             for combo in itertools.product(*[vals[s] for s in slots]):
-                key = (name, combo)
                 ops += 1  # table lookup
-                if reads is not None:
-                    reads.add(key)
-                mask |= get(key, 0)
+                mask |= get((name, combo), 0)
             bits = tuples.get(mask)
             if bits is None:
                 bits = tuples[mask] = tuple(_bits(mask))
@@ -244,7 +266,45 @@ class _Engine:
         self.ops = ops
         return mask
 
-    def _update_key(self, key: Key, reads: Optional[set]) -> int:
+    def _reads(self, body: tuple, regs: list[int]) -> Iterator[Key]:
+        """`_values` for demand mode, as a generator: it yields each key it
+        reads that is not yet complete, and reads its value once resumed."""
+        leaves, nodes = body
+        consts = self.consts
+        vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
+        if not nodes:
+            return 1 << vals[0][0]
+        get = self.table.get
+        done = self._done
+        tuples = self._bit_tuples
+        ops = 0  # added to self.ops on return; other frames count meanwhile
+        for name, slots in nodes:
+            ops += 1  # nf cache miss
+            mask = 0
+            for combo in itertools.product(*[vals[s] for s in slots]):
+                key = (name, combo)
+                ops += 1  # table lookup
+                if key not in done:
+                    yield key
+                mask |= get(key, 0)
+            bits = tuples.get(mask)
+            if bits is None:
+                bits = tuples[mask] = tuple(_bits(mask))
+            vals.append(bits)
+        self.ops += ops
+        return mask
+
+    def _set(self, key: Key, value: int) -> bool:
+        """Store a key's new value; whether it changed."""
+        old = self.table.get(key, 0)
+        if value == old:
+            return False
+        self.ops += (value ^ old).bit_count()  # insertions
+        self.table[key] = value
+        return True
+
+    def _sweep_key(self, key: Key) -> int:
+        """A key's value from its rules against the current table."""
         value = self.table.get(key, 0)
         name, combo = key
         heads, kids = self.heads, self.kids
@@ -257,13 +317,8 @@ class _Engine:
                     break
                 regs += kids[idx]
             else:
-                value |= self._values(body, regs, reads)
+                value |= self._values(body, regs)
         return value
-
-    def _commit(self, updates: dict) -> None:
-        for key, value in updates.items():
-            self.ops += (value ^ self.table.get(key, 0)).bit_count()  # insertions
-            self.table[key] = value
 
     def run_dense(self) -> int:
         n = len(self.b)
@@ -275,47 +330,90 @@ class _Engine:
             for sym in self.trs.defined():
                 for combo in itertools.product(range(n), repeat=sym.arity):
                     key = (sym.name, combo)
-                    value = self._update_key(key, None)
+                    value = self._sweep_key(key)
                     if value != self.table.get(key, 0):
                         updates[key] = value
             if not updates:
                 return sweeps
-            self._commit(updates)
+            for key, value in updates.items():
+                self._set(key, value)
+
+    def _update_key(self, key: Key) -> Iterator[Key]:
+        """`_sweep_key` for demand mode, as a generator over the keys read
+        that are not yet complete."""
+        value = self.table.get(key, 0)
+        name, combo = key
+        heads, kids = self.heads, self.kids
+        for tests, body in self.plans.candidates(name, tuple(heads[i] for i in combo)):
+            self.ops += 1  # rule-match attempt
+            regs = list(combo)
+            for r, h in tests:
+                idx = regs[r]
+                if heads[idx] != h:
+                    break
+                regs += kids[idx]
+            else:
+                value |= yield from self._reads(body, regs)
+        return value
+
+    def _settle(self, key: Key, frame: _Frame) -> Iterator[Key]:
+        """Evaluate `key`.  If it then roots a strongly connected component
+        of the read graph, iterate the component to its fixpoint and
+        complete it, unless a pass reads an outer open key: then the
+        lowlink goes up and an outer root iterates the larger component."""
+        stack, index = self._stack, frame.index
+        self._set(key, (yield from self._update_key(key)))
+        if frame.low == index and (frame.cyclic or len(stack) > index + 1):
+            while True:
+                self.ops += 1  # fixpoint comparison for this pass
+                end = len(stack)
+                changed = False
+                for member in stack[index:end]:
+                    changed |= self._set(member, (yield from self._update_key(member)))
+                self.generations += changed
+                if frame.low < index or not changed and len(stack) == end:
+                    break
+        if frame.low == index:
+            self._done.update(stack[index:])
+            for member in stack[index:]:
+                del self._open[member]
+            del stack[index:]
 
     def run_demand(self, root: Term) -> int:
         """Saturate only the keys read while evaluating `root`.
 
-        Returns the number of sweeps.  Each sweep re-evaluates the dirty keys
-        against the previous sweep's committed table, so the value trajectory
-        matches the dense schedule restricted to this cone.
+        Tabled evaluation: a key is evaluated when first read, after the keys
+        it reads, by a loop over an explicit stack of frames, so no call chain
+        meets the interpreter's recursion limit.  Tarjan lowlinks find the
+        strongly connected components of the read graph, and only inside one
+        is a key evaluated again: passes over the component's members, each
+        against the latest values, until a pass changes no value and adds no
+        member.  On an acyclic cone every key is evaluated once.
+
+        Returns the generations: 1, plus each pass that set a new fact.
         """
-        dependents: dict[tuple, set] = {}
-        scheduled = {_ROOT}
-        dirty = {_ROOT}
-        root_body, root_regs = self._ground(root)
-        sweeps = 0
-        while dirty:
-            sweeps += 1
-            self.ops += 1  # fixpoint comparison for this sweep
-            batch = sorted(dirty)
-            dirty = set()
-            updates: dict = {}
-            for key in batch:
-                reads: set = set()
-                if key == _ROOT:
-                    self._values(root_body, root_regs, reads)
-                else:
-                    value = self._update_key(key, reads)
-                    if value != self.table.get(key, 0):
-                        updates[key] = value
-                for r in reads:
-                    dependents.setdefault(r, set()).add(key)
-                dirty |= reads - scheduled
-                scheduled |= reads
-            self._commit(updates)
-            for key in updates:
-                dirty |= dependents.get(key, set())
-        return sweeps
+        frames = [_Frame(0)]  # the root's frame; it reads no open key
+        frames[0].gen = self._reads(*self._ground(root))
+        while frames:
+            top = frames[-1]
+            try:
+                key = next(top.gen)
+            except StopIteration:
+                frames.pop()
+                if frames:
+                    frames[-1].low = min(frames[-1].low, top.low)
+                continue
+            place = self._open.get(key)
+            if place is None:  # first read: evaluate it now
+                frame = _Frame(len(self._stack))
+                self._open[key] = frame.index
+                self._stack.append(key)
+                frame.gen = self._settle(key, frame)
+                frames.append(frame)
+            else:  # an open key: the read graph has a cycle through it
+                top.low = min(top.low, place)
+                top.cyclic = True
+        return self.generations
 
 
 def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTable:
@@ -348,7 +446,7 @@ def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
         raise ValueError(f"term {format_term(t)} is not B-safe for this table")
     engine = _Engine(table.trs, table.b)
     engine.table = table.entries
-    mask = engine._values(*engine._ground(t), None)
+    mask = engine._values(*engine._ground(t))
     return frozenset(table.b.items[i] for i in _bits(mask))
 
 

@@ -301,10 +301,21 @@ def test_bench_single_size_has_no_slope(capsys):
     assert rows[1][6] == ""
 
 
+def test_bench_repeated_size_has_no_slope(capsys):
+    # a fit needs two distinct sizes; a repeated one is not a second size
+    code, out, _ = run(capsys, "bench", MEM, "--sizes", "4,4")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert rows[1][6] == rows[2][6] == ""
+
+
 def test_bench_bad_sizes(capsys):
-    code, _, err = run(capsys, "bench", MEM, "--sizes", "4,x")
-    assert code == 2
-    assert "bad --sizes" in err
+    for sizes in ("4,x", "-3"):
+        code, out, err = run(capsys, "bench", MEM, f"--sizes={sizes}")
+        assert code == 2, sizes
+        assert "bad --sizes" in err, sizes
+        assert out == "", sizes
 
 
 def test_version_flag(capsys):

@@ -1,7 +1,8 @@
 import itertools
 import json
 
-from consfree.analysis import BSet, NotConsFreeError
+from consfree import tabulation
+from consfree.analysis import BSet, NotConsFreeError, b_safe_terms
 from consfree.engine import reachable_data
 from consfree.fmt import encode_input, parse_term, parse_trs, print_trs
 from consfree.tabulation import (
@@ -11,7 +12,7 @@ from consfree.tabulation import (
     run_tabulation,
     stats_bound_check,
 )
-from consfree.terms import App, format_term
+from consfree.terms import App, Kind, format_term
 from consfree.tm import compile_tm
 
 import pytest
@@ -182,16 +183,81 @@ def test_nondeterminism_accumulates_both_values():
 def test_demand_counts_frozen_on_shared_rhs_nodes():
     # compiled machines share right-hand-side nodes by identity, and a shared
     # node is evaluated and counted once per rule firing; the reparsed copy
-    # shares nothing, so it counts every occurrence
+    # shares nothing, so it counts every occurrence.  The machines' read
+    # graphs are acyclic, so demand mode takes one generation.
     parity = compile_tm(load_machine("parity")).trs
     cases = (
-        (parity, (False, 201, 7201)),
-        (parse_trs(print_trs(parity)), (False, 201, 16883)),
-        (compile_tm(load_machine("square")).trs, (True, 395, 20620)),
+        (parity, (False, 1, 2145)),
+        (parse_trs(print_trs(parity)), (False, 1, 3729)),
+        (compile_tm(load_machine("square")).trs, (True, 1, 6121)),
     )
     for trs, want in cases:
         yes, stats = decide(trs, "0110", "demand")
         assert (yes, stats.generations, stats.basic_ops) == want
+
+
+def demand_run(monkeypatch, trs, start):
+    """A demand table and the keys evaluated while filling it, in order."""
+    evaluated = []
+    original = tabulation._Engine._update_key
+
+    def counting(self, key, *rest):
+        evaluated.append(key)
+        return original(self, key, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tabulation._Engine, "_update_key", counting)
+        table = run_tabulation(trs, start, "demand")
+    return table, evaluated
+
+
+def test_demand_evaluates_each_key_once_on_machines(monkeypatch):
+    # the machines recurse on t-1, so their read graphs are acyclic and each
+    # demanded key is evaluated exactly once
+    for name in ("parity", "contains11", "square"):
+        trs = compile_tm(load_machine(name)).trs
+        for n in range(5):
+            for bits in map("".join, itertools.product("01", repeat=n)):
+                _, evaluated = demand_run(monkeypatch, trs, encode_input(bits))
+                assert evaluated, (name, bits)
+                assert len(evaluated) == len(set(evaluated)), (name, bits)
+
+
+# systems whose read graphs have cycles, each with B items
+CYCLIC = {
+    # f(a) reads itself
+    "self_read": "(VAR x)(RULES f(x) -> f(x) f(x) -> x f(a) -> b)",
+    # f(a) and g(a) read each other
+    "two_keys": "(VAR x)(RULES f(x) -> g(x) g(x) -> f(x) g(a) -> b)",
+    # r(a) -> r(b) -> r(c) -> r(a): each value flows one step per pass
+    "growing": "(VAR x)(RULES r(x) -> x r(x) -> r(s(x)) "
+    "s(a) -> b s(b) -> c s(c) -> a)",
+    # f(a) reads k(b) only once its value holds b; k(b) and j(b) join in a
+    # pass that changes no old member's value; j(b) gets its value only in
+    # a later pass
+    "gains_member": "(VAR x y)(RULES f(a) -> b f(x) -> k(f(x)) k(y) -> f(a) "
+    "k(b) -> j(b) j(y) -> w(k(y)) w(b) -> c)",
+    # q(a)'s component reaches the open p(a) only in its second pass
+    "reaches_outer": "(VAR x)(RULES p(x) -> q(x) q(a) -> b q(x) -> m(q(x)) "
+    "m(b) -> c m(c) -> p(a))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+def test_demand_equals_dense_on_cyclic_read_graphs(monkeypatch, name):
+    trs = parse_trs(CYCLIC[name])
+    starts = [t for t in b_safe_terms(trs, 6) if t.head.kind is Kind.DEFINED]
+    assert starts
+    for start in starts:
+        dense = run_tabulation(trs, start, "dense")
+        demand, evaluated = demand_run(monkeypatch, trs, start)
+        where = format_term(start)
+        assert demand.b.items == dense.b.items, where
+        for key in evaluated:
+            assert demand.entries.get(key, 0) == dense.entries.get(key, 0), where
+        assert set(demand.entries) <= set(evaluated), where
+        assert nf(demand, start) == nf(dense, start), where
+        assert generations_bound_check(demand.stats), where
 
 
 def test_fill_builds_no_terms(monkeypatch):
