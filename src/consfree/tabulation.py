@@ -46,6 +46,7 @@ evaluator would, a node shared by identity once, so the counts are the same.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -199,14 +200,16 @@ class _Plans:
 
 class _Frame:
     """A running evaluation on `run_demand`'s stack: `index` is its key's
-    place on the stack of open keys, `low` the least place it reached, and
-    `cyclic` whether it read an open key."""
+    place on the stack of open keys, `low` the least place it reached,
+    `cyclic` whether it read an open key, and `gen` the generator it drives,
+    which `start` makes from the frame itself."""
 
     __slots__ = ("gen", "index", "low", "cyclic")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, start: Callable[[_Frame], Iterator[Key]]):
         self.index = self.low = index
         self.cyclic = False
+        self.gen = start(self)
 
 
 class _Engine:
@@ -303,11 +306,12 @@ class _Engine:
         self.table[key] = value
         return True
 
-    def _sweep_key(self, key: Key) -> int:
-        """A key's value from its rules against the current table."""
-        value = self.table.get(key, 0)
+    def _matches(self, key: Key) -> list[tuple[tuple, list[int]]]:
+        """Body and registers of each rule of `key`'s symbol that matches
+        its arguments."""
         name, combo = key
         heads, kids = self.heads, self.kids
+        found = []
         for tests, body in self.plans.candidates(name, tuple(heads[i] for i in combo)):
             self.ops += 1  # rule-match attempt
             regs = list(combo)
@@ -317,7 +321,14 @@ class _Engine:
                     break
                 regs += kids[idx]
             else:
-                value |= self._values(body, regs)
+                found.append((body, regs))
+        return found
+
+    def _sweep_key(self, key: Key) -> int:
+        """A key's value from its rules against the current table."""
+        value = self.table.get(key, 0)
+        for body, regs in self._matches(key):
+            value |= self._values(body, regs)
         return value
 
     def run_dense(self) -> int:
@@ -342,18 +353,8 @@ class _Engine:
         """`_sweep_key` for demand mode, as a generator over the keys read
         that are not yet complete."""
         value = self.table.get(key, 0)
-        name, combo = key
-        heads, kids = self.heads, self.kids
-        for tests, body in self.plans.candidates(name, tuple(heads[i] for i in combo)):
-            self.ops += 1  # rule-match attempt
-            regs = list(combo)
-            for r, h in tests:
-                idx = regs[r]
-                if heads[idx] != h:
-                    break
-                regs += kids[idx]
-            else:
-                value |= yield from self._reads(body, regs)
+        for body, regs in self._matches(key):
+            value |= yield from self._reads(body, regs)
         return value
 
     def _settle(self, key: Key, frame: _Frame) -> Iterator[Key]:
@@ -392,8 +393,8 @@ class _Engine:
 
         Returns the generations: 1, plus each pass that set a new fact.
         """
-        frames = [_Frame(0)]  # the root's frame; it reads no open key
-        frames[0].gen = self._reads(*self._ground(root))
+        # the root's frame: it is no key, and it reads no open key
+        frames = [_Frame(0, lambda _: self._reads(*self._ground(root)))]
         while frames:
             top = frames[-1]
             try:
@@ -405,11 +406,9 @@ class _Engine:
                 continue
             place = self._open.get(key)
             if place is None:  # first read: evaluate it now
-                frame = _Frame(len(self._stack))
-                self._open[key] = frame.index
+                place = self._open[key] = len(self._stack)
                 self._stack.append(key)
-                frame.gen = self._settle(key, frame)
-                frames.append(frame)
+                frames.append(_Frame(place, functools.partial(self._settle, key)))
             else:  # an open key: the read graph has a cycle through it
                 top.low = min(top.low, place)
                 top.cyclic = True
