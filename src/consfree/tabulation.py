@@ -324,15 +324,9 @@ class _Engine:
                 found.append((body, regs))
         return found
 
-    def _sweep_key(self, key: Key) -> int:
-        """A key's value from its rules against the current table."""
-        value = self.table.get(key, 0)
-        for body, regs in self._matches(key):
-            value |= self._values(body, regs)
-        return value
-
     def run_dense(self) -> int:
         n = len(self.b)
+        get, matches, values = self.table.get, self._matches, self._values
         sweeps = 0
         while True:
             sweeps += 1
@@ -341,8 +335,10 @@ class _Engine:
             for sym in self.trs.defined():
                 for combo in itertools.product(range(n), repeat=sym.arity):
                     key = (sym.name, combo)
-                    value = self._sweep_key(key)
-                    if value != self.table.get(key, 0):
+                    old = value = get(key, 0)
+                    for body, regs in matches(key):
+                        value |= values(body, regs)
+                    if value != old:
                         updates[key] = value
             if not updates:
                 return sweeps
@@ -350,8 +346,8 @@ class _Engine:
                 self._set(key, value)
 
     def _update_key(self, key: Key) -> Iterator[Key]:
-        """`_sweep_key` for demand mode, as a generator over the keys read
-        that are not yet complete."""
+        """A key's value from its rules against the current table, as a
+        generator over the keys read that are not yet complete."""
         value = self.table.get(key, 0)
         for body, regs in self._matches(key):
             value |= yield from self._reads(body, regs)
