@@ -238,11 +238,15 @@ def _add_data_subterms(t: Term, items: list[Term], seen: set[Term]) -> None:
 
 def is_b_safe(b: BSet, t: Term) -> bool:
     """t is in the universe, or a defined symbol applied to safe arguments."""
-    if t in b:
-        return True
-    if isinstance(t, App) and t.head.kind is Kind.DEFINED:
-        return all(is_b_safe(b, a) for a in t.args)
-    return False
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u in b:
+            continue
+        if not isinstance(u, App) or u.head.kind is not Kind.DEFINED:
+            return False
+        todo.extend(u.args)
+    return True
 
 
 def b_safe_terms(trs: Trs, max_size: int) -> Iterator[Term]:

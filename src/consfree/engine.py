@@ -26,7 +26,6 @@ from .terms import (
     apply,
     is_data,
     match,
-    positions,
     replace_at,
     size,
     subterm_at,
@@ -68,21 +67,38 @@ class ReachabilityResult:
         return "no" if self.complete else "unknown"
 
 
+def _rewrites(
+    trs: Trs, t: Term, strategy: Strategy
+) -> Iterator[tuple[Position, int, Term]]:
+    """One-step successors as (position, rule index, result), in
+    deterministic order: positions pre-order (leftmost-outermost first),
+    rules in file order at each position.  One walk with an explicit stack;
+    data subtrees hold no redex and are skipped."""
+    if not isinstance(t, App) or t.is_data:
+        return
+    cbv = strategy == "cbv"
+    by_head = trs.by_head
+    todo: list[tuple[Position, App]] = [((), t)]
+    while todo:
+        pos, sub = todo.pop()
+        args = sub.args
+        if sub.head.kind is Kind.DEFINED and not (
+            cbv and not all(a.is_data for a in args)
+        ):
+            for i, rule in by_head.get(sub.head.name, ()):
+                subst = match(rule.lhs, sub)
+                if subst is not None:
+                    yield pos, i, replace_at(t, pos, apply(subst, rule.rhs))
+        for i in range(len(args), 0, -1):
+            a = args[i - 1]
+            if not a.is_data and isinstance(a, App):
+                todo.append(((*pos, i), a))
+
+
 def _steps(trs: Trs, t: Term, strategy: Strategy) -> Iterator[ReductionStep]:
-    """One-step successors in deterministic order: positions pre-order
-    (leftmost-outermost first), rules in file order at each position."""
-    for pos in positions(t):
-        sub = subterm_at(t, pos)
-        if not isinstance(sub, App) or sub.head.kind is not Kind.DEFINED:
-            continue
-        if strategy == "cbv" and not all(is_data(a) for a in sub.args):
-            continue
-        for i, rule in trs.by_head.get(sub.head.name, ()):
-            subst = match(rule.lhs, sub)
-            if subst is None:
-                continue
-            after = replace_at(t, pos, apply(subst, rule.rhs))
-            yield ReductionStep(pos, i, t, after)
+    """`_rewrites` as ReductionSteps from t."""
+    for pos, i, after in _rewrites(trs, t, strategy):
+        yield ReductionStep(pos, i, t, after)
 
 
 def step_full(trs: Trs, t: Term) -> list[ReductionStep]:
@@ -116,8 +132,7 @@ def reachable_data(
         if is_data(term):
             results.add(term)
             continue
-        for step in _steps(trs, term, strategy):
-            nxt = step.after
+        for _, _, nxt in _rewrites(trs, term, strategy):
             if nxt in seen:
                 continue
             if size(nxt) > budget.max_term_size:
@@ -136,10 +151,6 @@ def reachable_data(
     )
 
 
-class _CycleHit(Exception):
-    pass
-
-
 def data_results(
     trs: Trs,
     starts: Iterable[Term],
@@ -147,46 +158,77 @@ def data_results(
 ) -> dict[Term, frozenset[Term]]:
     """reachable_data(...).results for many starts, sharing one memo.
 
-    Equal subterms across starts are evaluated once, so a whole family of
-    start terms costs one pass over their combined reduction closure instead
-    of one search each.  Every reduction graph involved must be finite (the
-    searches run unbudgeted); a term whose graph is cyclic falls back to the
-    plain breadth-first search, which handles cycles.
-    """
-    memo: dict[Term, frozenset[Term]] = {}
-    interned: dict[frozenset[Term], frozenset[Term]] = {}
-    fallback = Budget(max_terms=10_000_000, max_term_size=100_000)
+    Equal terms across starts are evaluated once, so a whole family of start
+    terms costs one pass over their combined reduction closure instead of one
+    search each.  Every reduction graph involved must be finite (the search
+    runs unbudgeted).
 
-    def go(t: Term, gray: set[Term]) -> frozenset[Term]:
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        if is_data(t):
-            out = frozenset((t,))
-        else:
-            if t in gray:
-                raise _CycleHit
-            gray.add(t)
-            try:
-                acc: set[Term] = set()
-                for step in _steps(trs, t, strategy):
-                    acc |= go(step.after, gray)
-                out = frozenset(acc)
-            finally:
-                gray.discard(t)
-        out = interned.setdefault(out, out)
-        memo[t] = out
+    One iterative depth-first search finds the strongly connected components
+    of the reduction graph (Tarjan, 1972).  A term's result is the union of
+    its successors' results, so every member of a component gets the union
+    of the component's exits: the results of the edges that leave it, or the
+    data terms they reach.
+    """
+    memo: dict[Term, frozenset[Term]] = {}  # terms whose component is closed
+    interned: dict[frozenset[Term], frozenset[Term]] = {}
+    index: dict[Term, int] = {}  # open terms: their place on `stack`
+    stack: list[Term] = []
+
+    def close(t: Term, out: frozenset[Term]) -> frozenset[Term]:
+        out = memo[t] = interned.setdefault(out, out)
         return out
+
+    def open_(t: Term) -> _Open:
+        index[t] = len(stack)
+        stack.append(t)
+        return _Open(_rewrites(trs, t, strategy), index[t])
 
     results: dict[Term, frozenset[Term]] = {}
     for s in starts:
-        try:
-            results[s] = go(s, set())
-        except _CycleHit:
-            hit = reachable_data(trs, s, strategy, fallback)
-            assert hit.complete, "cyclic reduction graph exceeded the fallback budget"
-            results[s] = hit.results
+        if s.is_data:
+            close(s, frozenset((s,)))
+        frames = [] if s in memo else [open_(s)]
+        while frames:
+            top = frames[-1]
+            for _, _, u in top.rewrites:
+                hit = memo.get(u)
+                if hit is None and u.is_data:
+                    hit = close(u, frozenset((u,)))
+                if hit is not None:
+                    top.exits |= hit
+                elif u in index:
+                    top.low = min(top.low, index[u])
+                else:
+                    frames.append(open_(u))
+                    break
+            else:
+                frames.pop()
+                if top.low == top.place:  # top roots a component
+                    out = frozenset(top.exits)
+                    for u in stack[top.low:]:
+                        del index[u]
+                        out = close(u, out)
+                    del stack[top.low:]
+                    if frames:
+                        frames[-1].exits |= out
+                else:  # the parent is in top's component: hand it top's exits
+                    frames[-1].low = min(frames[-1].low, top.low)
+                    frames[-1].exits |= top.exits
+        results[s] = memo[s]
     return results
+
+
+class _Open:
+    """A term on data_results' search path: its successors still to visit,
+    its place on the stack of open terms, the least place it reached, and
+    the results of the exits found so far in its part of the component."""
+
+    __slots__ = ("rewrites", "place", "low", "exits")
+
+    def __init__(self, rewrites: Iterator, place: int):
+        self.rewrites = rewrites
+        self.place = self.low = place
+        self.exits: set[Term] = set()
 
 
 def accepts(

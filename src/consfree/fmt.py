@@ -264,7 +264,7 @@ def require_decision_interface(trs: Trs) -> None:
         got = by_name.get(name)
         if got is None:
             raise ValueError(f"decision interface symbol {name}/{arity} missing")
-        if got != Symbol(name, arity, kind):
+        if got is not Symbol(name, arity, kind):
             raise ValueError(
                 f"decision interface needs {name}/{arity} ({kind.value}), "
                 f"found {got.name}/{got.arity} ({got.kind.value})"

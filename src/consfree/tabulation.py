@@ -451,4 +451,4 @@ def decide(trs: Trs, bits: str, mode: Mode = "dense") -> tuple[bool, TabulationS
     start = encode_input(bits)
     table = run_tabulation(trs, start, mode)
     true = trs.symbol("true")  # a constant, by the decision interface
-    return any(t.head == true for t in nf(table, start)), table.stats
+    return any(t.head is true for t in nf(table, start)), table.stats

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 
 class Kind(Enum):
@@ -21,41 +21,93 @@ class Kind(Enum):
     CONSTRUCTOR = "constructor"
 
 
-@dataclass(frozen=True)
 class Symbol:
+    """A function symbol.  There is one object per (name, arity, kind):
+    building an equal symbol returns the first one made, so symbols compare
+    and hash by identity."""
+
+    __slots__ = ("name", "arity", "kind")
     name: str
     arity: int
     kind: Kind
+
+    def __new__(cls, name: str, arity: int, kind: Kind) -> Symbol:
+        key = (name, arity, kind)
+        sym = _SYMBOLS.get(key)
+        if sym is None:
+            sym = _SYMBOLS[key] = object.__new__(cls)
+            object.__setattr__(sym, "name", name)
+            object.__setattr__(sym, "arity", arity)
+            object.__setattr__(sym, "kind", kind)
+        return sym
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Symbol is immutable")
+
+    def __reduce__(self) -> tuple:
+        return Symbol, (self.name, self.arity, self.kind)
+
+    def __repr__(self) -> str:
+        return f"Symbol(name={self.name!r}, arity={self.arity!r}, kind={self.kind!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
+_SYMBOLS: dict[tuple[str, int, Kind], Symbol] = {}
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
+    is_data: ClassVar[bool] = False
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class App:
-    head: Symbol
-    args: tuple = ()
-    # deep structural hashing dominates oracle/tabulation profiles; cache it
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    """A symbol applied to arity-many arguments.  Never mutated: the hash and
+    `is_data` (ground constructor term) are computed once, at construction,
+    from the children's."""
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.head.arity:
+    __slots__ = ("head", "args", "is_data", "_hash")
+    head: Symbol
+    args: tuple
+    is_data: bool
+
+    def __init__(self, head: Symbol, args: tuple = ()) -> None:
+        if len(args) != head.arity:
             raise ValueError(
-                f"{self.head.name} expects {self.head.arity} arguments, "
-                f"got {len(self.args)}"
+                f"{head.name} expects {head.arity} arguments, got {len(args)}"
             )
-        object.__setattr__(self, "_hash", hash((self.head, self.args)))
+        data = head.kind is Kind.CONSTRUCTOR
+        if data:
+            for a in args:
+                if not a.is_data:
+                    data = False
+                    break
+        self.head = head
+        self.args = args
+        self.is_data = data
+        self._hash = hash((head, args))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, App):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.head is other.head
+            and self.args == other.args
+        )
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"App(head={self.head!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return format_term(self)
@@ -75,9 +127,14 @@ def format_term(t: Term) -> str:
 
 
 def size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(size(a) for a in t.args)
+    n = 0
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        n += 1
+        if isinstance(u, App):
+            todo.extend(u.args)
+    return n
 
 
 def variables(t: Term) -> set[str]:
@@ -99,10 +156,13 @@ def subterms(t: Term) -> list[Term]:
     Occurrences, not distinct terms: f(a, a) yields a twice.  The length of
     the result equals the node count of t.
     """
-    out = [t]
-    if isinstance(t, App):
-        for a in t.args:
-            out.extend(subterms(a))
+    out: list[Term] = []
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        if isinstance(u, App):
+            todo.extend(reversed(u.args))
     return out
 
 
@@ -125,30 +185,34 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 def replace_at(t: Term, pos: Position, repl: Term) -> Term:
     """Return t with the subterm at pos replaced by repl."""
-    if not pos:
-        return repl
-    if isinstance(t, Var) or not 1 <= pos[0] <= len(t.args):
-        raise IndexError(f"no subterm at position {'.'.join(map(str, pos))}")
-    i = pos[0] - 1
-    args = list(t.args)
-    args[i] = replace_at(args[i], pos[1:], repl)
-    return App(t.head, tuple(args))
+    spine: list[tuple[App, int]] = []
+    for i in pos:
+        if isinstance(t, Var) or not 1 <= i <= len(t.args):
+            raise IndexError(f"no subterm at position {'.'.join(map(str, pos))}")
+        spine.append((t, i - 1))
+        t = t.args[i - 1]
+    for node, i in reversed(spine):
+        args = list(node.args)
+        args[i] = repl
+        repl = App(node.head, tuple(args))
+    return repl
 
 
 def is_data(t: Term) -> bool:
     """True iff t is a ground constructor term (a data value)."""
-    if isinstance(t, Var):
-        return False
-    return t.head.kind is Kind.CONSTRUCTOR and all(is_data(a) for a in t.args)
+    return t.is_data
 
 
 def is_constructor_term(t: Term) -> bool:
     """True iff t contains no defined symbols (variables allowed)."""
-    if isinstance(t, Var):
-        return True
-    return t.head.kind is Kind.CONSTRUCTOR and all(
-        is_constructor_term(a) for a in t.args
-    )
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, App) and not u.is_data:
+            if u.head.kind is not Kind.CONSTRUCTOR:
+                return False
+            todo.extend(u.args)
+    return True
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:
@@ -157,27 +221,30 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
     Returns the unique substitution g with pattern*g == subject, or None.
     Repeated pattern variables must bind consistently.
     """
+    if isinstance(pattern, Var):
+        return {pattern.name: subject}
     subst: Substitution = {}
-
-    def go(p: Term, s: Term) -> bool:
-        if isinstance(p, Var):
-            bound = subst.get(p.name)
-            if bound is None:
-                subst[p.name] = s
-                return True
-            return bound == s
-        # identity first: Symbol's dataclass __eq__ is slow on every node
-        if isinstance(s, Var) or (p.head is not s.head and p.head != s.head):
-            return False
-        return all(go(pa, sa) for pa, sa in zip(p.args, s.args))
-
-    return subst if go(pattern, subject) else None
+    todo = [(pattern, subject)]
+    while todo:
+        p, s = todo.pop()
+        if isinstance(s, Var) or p.head is not s.head:
+            return None
+        for pa, sa in zip(p.args, s.args):
+            if isinstance(pa, Var):
+                bound = subst.setdefault(pa.name, sa)
+                if bound is not sa and bound != sa:
+                    return None
+            else:
+                todo.append((pa, sa))
+    return subst
 
 
 def apply(subst: Substitution, t: Term) -> Term:
     if isinstance(t, Var):
         return subst.get(t.name, t)
-    return App(t.head, tuple(apply(subst, a) for a in t.args))
+    if t.is_data:  # ground: nothing to substitute
+        return t
+    return App(t.head, tuple([apply(subst, a) for a in t.args]))
 
 
 @dataclass(frozen=True)
@@ -232,9 +299,7 @@ class Trs:
             while todo:
                 t = todo.pop()
                 if isinstance(t, App):
-                    known = by_name.get(t.head.name)
-                    # identity first: Symbol's dataclass __eq__ is slow on every node
-                    if known is not t.head and known != t.head:
+                    if by_name.get(t.head.name) is not t.head:
                         raise ValueError(
                             f"rule {i} uses {t.head} missing from the signature"
                         )
@@ -260,11 +325,7 @@ class Trs:
         return tuple(s for s in self.signature if s.kind is Kind.CONSTRUCTOR)
 
     def rules_for(self, sym: Symbol) -> list[tuple[int, Rule]]:
-        return [
-            (i, r)
-            for i, r in self.by_head.get(sym.name, ())
-            if r.lhs.head is sym or r.lhs.head == sym
-        ]
+        return [(i, r) for i, r in self.by_head.get(sym.name, ()) if r.lhs.head is sym]
 
 
 def make_trs(rules: Sequence[Rule], extra: tuple[Symbol, ...] = ()) -> Trs:
@@ -278,9 +339,7 @@ def make_trs(rules: Sequence[Rule], extra: tuple[Symbol, ...] = ()) -> Trs:
     seen: dict[str, Symbol] = {}
 
     def note(sym: Symbol) -> None:
-        prev = seen.setdefault(sym.name, sym)
-        # identity first: Symbol's dataclass __eq__ is slow on every node
-        if prev is not sym and prev != sym:
+        if seen.setdefault(sym.name, sym) is not sym:
             raise ValueError(f"inconsistent uses of symbol {sym.name}")
 
     def walk(t: Term) -> None:

@@ -82,8 +82,9 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
 
     Only defined for terms whose constructor-rooted subterms contain no
     defined symbols (below a constructor there is only data to copy).
+    `t` is a term of `trs`.  Each head is widened as it is met; symbols are
+    shared objects, so these are the very symbols of `semi_linearize(trs)`.
     """
-    sigmap = signature_map(trs, counts)
 
     def go(u: Term) -> Term:
         if isinstance(u, Var):
@@ -98,7 +99,8 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
         args: list[Term] = []
         for i, a in enumerate(u.args, start=1):
             args.extend([go(a)] * counts.of(u.head.name, i))
-        return App(sigmap[u.head.name], tuple(args))
+        head = u.head
+        return App(Symbol(head.name, counts.new_arity(head), head.kind), tuple(args))
 
     return go(t)
 

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
 from consfree.fmt import parse_trs
 from consfree.tm import parse_tm
-
-# the batch reachability sweeps recurse along reduction chains; the default
-# interpreter limit is too tight for the larger closures
-sys.setrecursionlimit(100_000)
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"

@@ -15,7 +15,7 @@ from consfree.analysis import (
     verify_constrained_witness,
 )
 from consfree.fmt import encode_input, parse_term, parse_trs
-from consfree.terms import Var, format_term, is_data, size
+from consfree.terms import App, Var, format_term, is_data, size
 
 from conftest import CORPUS_NAMES, load_system
 
@@ -185,6 +185,17 @@ def test_is_b_safe():
     assert not is_b_safe(b, parse_term("start(cons(0, nil))", trs))
     # and a constructor above a defined symbol is never safe
     assert not is_b_safe(b, parse_term("cons(mem(nil), nil)", trs))
+
+
+def test_is_b_safe_on_deep_terms():
+    trs = load_system("membership")
+    b = compute_b(trs, encode_input("01"))
+    mem = trs.symbol("mem")
+    for bottom, safe in (("cons(1, nil)", True), ("cons(0, nil)", False)):
+        t = parse_term(bottom, trs)
+        for _ in range(5000):  # far beyond the interpreter's recursion limit
+            t = App(mem, (t,))
+        assert is_b_safe(b, t) is safe
 
 
 def test_b_safe_terms_enumeration():

@@ -120,6 +120,24 @@ def test_decide_long_input_under_default_recursion_limit(mode):
     assert proc.stdout.splitlines()[0] == "yes"
 
 
+def test_decide_ten_thousand_bits_in_demand_mode():
+    # every walk on the demand path is iterative: no RecursionError, which
+    # would exit 1, the code for "no"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "decide", MEM, "0" * 10_000,
+         "--table-mode", "demand"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "yes"
+
+
 def test_decide_table_no(capsys):
     code, out, _ = run(capsys, "decide", MEM, "0100", "--table-mode", "demand")
     assert code == 1

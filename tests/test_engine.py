@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from consfree.analysis import b_safe_terms, compute_b, is_b_safe
@@ -22,7 +26,9 @@ from consfree.terms import (
     subterm_at,
 )
 
-from conftest import load_system
+from conftest import ROOT, load_system
+
+SRC = ROOT / "src"
 
 TINY = parse_trs("(VAR x)(RULES f(x) -> x a -> b)")
 
@@ -43,34 +49,50 @@ def test_step_cbv_requires_data_arguments():
     assert step_cbv(TINY, parse_term("f(b)", TINY))[0].position == ()
 
 
+def unindexed(trs, t, cbv):
+    # every rule at every pre-order position, in file order
+    out = []
+    for pos in positions(t):
+        sub = subterm_at(t, pos)
+        if not isinstance(sub, App) or sub.head.kind is not Kind.DEFINED:
+            continue
+        if cbv and not all(is_data(a) for a in sub.args):
+            continue
+        out += [(pos, i) for i, r in enumerate(trs.rules) if match(r.lhs, sub) is not None]
+    return out
+
+
 def test_steps_follow_file_order_with_interleaved_heads():
     # rules of f, g and a interleave in the file, and several match one redex
     trs = parse_trs(
         "(VAR x y)(RULES f(x) -> g(x, x) g(x, y) -> x f(b) -> a "
         "g(b, y) -> f(y) a -> b f(x) -> x g(x, b) -> a a -> c)"
     )
-
-    def unindexed(t, cbv):
-        # every rule at every pre-order position, in file order
-        out = []
-        for pos in positions(t):
-            sub = subterm_at(t, pos)
-            if not isinstance(sub, App) or sub.head.kind is not Kind.DEFINED:
-                continue
-            if cbv and not all(is_data(a) for a in sub.args):
-                continue
-            out += [(pos, i) for i, r in enumerate(trs.rules) if match(r.lhs, sub) is not None]
-        return out
-
     terms = list(b_safe_terms(trs, 6))
     assert len(terms) > 100
     for t in terms:
         for step, cbv in ((step_full, False), (step_cbv, True)):
             got = [(s.position, s.rule_index) for s in step(trs, t)]
-            assert got == unindexed(t, cbv), format_term(t)
+            assert got == unindexed(trs, t, cbv), format_term(t)
     t = parse_term("g(f(b), a)", trs)
     assert [(s.position, s.rule_index) for s in step_full(trs, t)] == [
         ((), 1), ((1,), 0), ((1,), 2), ((1,), 5), ((2,), 4), ((2,), 7),
+    ]
+
+
+def test_steps_rewrite_below_constructors():
+    # f builds a pair around a redex, so terms leave the B-safe shape
+    trs = parse_trs("(VAR x)(RULES f(x) -> pair(x, a) a -> b a -> c)")
+    terms = list(b_safe_terms(trs, 5))
+    terms += [s.after for t in terms for s in step_full(trs, t)]
+    assert any(t.head.kind is Kind.CONSTRUCTOR and not is_data(t) for t in terms)
+    for t in terms:
+        for step, cbv in ((step_full, False), (step_cbv, True)):
+            got = [(s.position, s.rule_index) for s in step(trs, t)]
+            assert got == unindexed(trs, t, cbv), format_term(t)
+    t = parse_term("pair(f(a), pair(b, a))", trs)
+    assert [(s.position, s.rule_index) for s in step_full(trs, t)] == [
+        ((1,), 0), ((1, 1), 1), ((1, 1), 2), ((2, 2), 1), ((2, 2), 2),
     ]
 
 
@@ -142,6 +164,54 @@ def test_data_results_handles_cycles():
     assert {format_term(t) for t in out[starts[2]]} == {"b"}
     # a data start evaluates to itself
     assert out[starts[3]] == frozenset({starts[3]})
+
+
+# f(a) -> g(a) -> h(a) -> f(a) is one component of the reduction graph; its
+# exits are b (from f) and a (from g), and k(a) leads into it
+CYCLE = parse_trs(
+    "(VAR x)(RULES f(x) -> g(x) g(x) -> h(x) h(x) -> f(x) g(x) -> x "
+    "f(a) -> b k(x) -> f(x) k(x) -> c)"
+)
+
+
+def test_data_results_equals_reachable_data_on_cyclic_graphs():
+    for trs, max_size in ((load_system("loop42"), 7), (CYCLE, 4)):
+        starts = list(b_safe_terms(trs, max_size))
+        assert len(starts) >= 14
+        singles = [reachable_data(trs, s, "full") for s in starts]
+        assert all(r.complete for r in singles)
+        # the search order depends on the order of the starts
+        for order in (starts, starts[::-1]):
+            batch = data_results(trs, order)
+            for s, single in zip(starts, singles):
+                assert batch[s] == single.results, format_term(s)
+    starts = [parse_term(s, CYCLE) for s in ("k(a)", "h(a)", "g(a)", "f(a)")]
+    out = data_results(CYCLE, starts)
+    assert [sorted(map(format_term, out[s])) for s in starts] == [
+        ["a", "b", "c"], ["a", "b"], ["a", "b"], ["a", "b"],
+    ]
+
+
+def test_data_results_follows_long_chains_under_default_recursion_limit():
+    # its own process, so it runs under the interpreter's default limit
+    code = (
+        "from consfree.engine import data_results\n"
+        "from consfree.fmt import parse_term, parse_trs\n"
+        "from consfree.terms import App, format_term\n"
+        "trs = parse_trs('(VAR x)(RULES f(s(x)) -> f(x) f(z) -> done)')\n"
+        "t = parse_term('z', trs)\n"
+        "for _ in range(6000):\n"
+        "    t = App(trs.symbol('s'), (t,))\n"
+        "start = App(trs.symbol('f'), (t,))\n"
+        "print(*map(format_term, data_results(trs, [start])[start]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "done\n"
 
 
 def test_accepts():

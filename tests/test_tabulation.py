@@ -265,13 +265,13 @@ def test_fill_builds_no_terms(monkeypatch):
     mem = load_system("membership")
     runs = [(machine, encode_input("0110"), "demand"), (mem, encode_input("0000"), "dense")]
     built = []
-    original = App.__post_init__
+    original = App.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        original(self)
+        original(self, *args)
 
-    monkeypatch.setattr(App, "__post_init__", counting)
+    monkeypatch.setattr(App, "__init__", counting)
     for trs, start, mode in runs:
         table = run_tabulation(trs, start, mode)
         assert nf(table, start)

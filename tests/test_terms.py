@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from consfree.analysis import b_safe_terms
@@ -206,3 +209,49 @@ def test_ground_terms_enumeration():
     assert [format_term(t) for t in terms[:4]] == ["nil", "0", "1", "cons(nil, nil)"]
     assert all(size(t) <= 5 for t in terms)
     assert len(set(terms)) == len(terms)
+
+
+def test_equal_symbols_are_one_object():
+    assert Symbol("f", 1, Kind.DEFINED) is F
+    assert Symbol("cons", 2, Kind.CONSTRUCTOR) is CONS
+    # a different arity or kind is another symbol
+    assert Symbol("f", 2, Kind.DEFINED) is not F
+    assert Symbol("f", 1, Kind.CONSTRUCTOR) != F
+    assert copy.deepcopy(F) is F
+    assert pickle.loads(pickle.dumps(CONS)) is CONS
+    with pytest.raises(AttributeError):
+        F.arity = 2
+
+
+def test_apps_built_apart_are_equal():
+    a, b = lst(0, 1, 1), lst(0, 1, 1)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert App(G, (a, App(NIL))) == App(G, (b, App(NIL)))
+    assert len({a, b, lst(0, 1, 1)}) == 1
+    # another head over the same arguments is another term
+    pair = Symbol("pair", 2, Kind.CONSTRUCTOR)
+    assert App(pair, a.args) != a
+    assert App(G, a.args) != App(pair, a.args)
+    assert lst(0, 1, 0) != a
+    assert App(NIL) != Var("nil")
+
+
+def _is_data_reference(t):
+    if isinstance(t, Var):
+        return False
+    return t.head.kind is Kind.CONSTRUCTOR and all(_is_data_reference(a) for a in t.args)
+
+
+def test_data_flag_matches_the_recursive_definition(corpus):
+    for name, trs in corpus.items():
+        for t in b_safe_terms(trs, 7):
+            assert t.is_data == _is_data_reference(t), (name, format_term(t))
+    # a constructor above a defined symbol or a variable is not data
+    for t in (
+        App(CONS, (App(F, (App(NIL),)), App(NIL))),
+        App(CONS, (App(ZERO), App(CONS, (Var("x"), App(NIL))))),
+        App(G, (lst(0), lst(1))),
+    ):
+        assert not is_data(t) and not _is_data_reference(t)
+    assert is_data(lst(1, 0)) and not is_data(Var("x"))
