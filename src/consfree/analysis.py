@@ -125,18 +125,15 @@ def _forced_symbols(trs: Trs) -> set[Symbol]:
     forced: set[Symbol] = set()
     for rule in trs.rules:
         direct = dv(rule.lhs)
-
-        def walk(t: Term) -> None:
+        holds: dict[int, bool] = {}  # id of a subterm: is or holds a direct variable
+        for t in reversed(subterms(rule.rhs)):  # each subterm after its arguments
             if isinstance(t, Var):
-                return
-            if any(
-                isinstance(s, Var) and s.name in direct for s in subterms(t)[1:]
-            ):
+                holds[id(t)] = t.name in direct
+            elif any(holds[id(a)] for a in t.args):
                 forced.add(t.head)
-            for a in t.args:
-                walk(a)
-
-        walk(rule.rhs)
+                holds[id(t)] = True
+            else:
+                holds[id(t)] = False
     return forced
 
 

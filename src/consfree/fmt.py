@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, format_term, variables
 
@@ -111,17 +112,27 @@ class _Parser:
             raise _error(self.src, message, offset, text)
 
     def term(self) -> Raw:
-        _, name, offset = self.take("id", "a term")
-        args: list[Raw] = []
-        if self.peek() == "(":
-            self.pos += 1
-            if self.peek() != ")":
-                args.append(self.term())
-                while self.peek() == ",":
+        """One term, with a stack of the terms whose argument lists are still
+        open, so that nesting depth meets no recursion limit."""
+        open_terms: list[Raw] = []
+        while True:
+            _, name, offset = self.take("id", "a term")
+            raw: Raw = (name, [], offset)
+            if self.peek() == "(":
+                self.pos += 1
+                if self.peek() != ")":
+                    open_terms.append(raw)
+                    continue
+                self.take(")")
+            while open_terms:  # `raw` is complete: close the lists it ends
+                open_terms[-1][1].append(raw)
+                if self.peek() == ",":
                     self.pos += 1
-                    args.append(self.term())
-            self.take(")")
-        return name, args, offset
+                    break
+                self.take(")")
+                raw = open_terms.pop()
+            else:
+                return raw
 
     def file(self) -> tuple[list[str], list[tuple[Raw, Raw]]]:
         self.take("(")
@@ -148,15 +159,36 @@ def _arity_error(src: str, raw: Raw, arity: int) -> ParseError:
     return _error(src, message, offset, name)
 
 
+def _build(raw: Raw, resolve: Callable[[Raw], Var | Symbol]) -> Term:
+    """The term `raw` stands for.  `resolve` checks each node in pre-order,
+    so the first error in pre-order is raised, and gives its variable or
+    symbol; the term is then built bottom-up on an explicit stack."""
+    order: list[Var | Symbol] = []
+    todo = [raw]
+    while todo:
+        r = todo.pop()
+        order.append(resolve(r))
+        if r[1]:
+            todo.extend(reversed(r[1]))
+    built: list[Term] = []
+    for x in reversed(order):  # a node's arguments are the last built, first on top
+        if isinstance(x, Var):
+            built.append(x)
+        elif x.arity:
+            built[-x.arity:] = [App(x, tuple(built[: -x.arity - 1 : -1]))]
+        else:
+            built.append(App(x))
+    return built[0]
+
+
 def parse_trs(src: str) -> Trs:
     var_names, raw_rules = _Parser(src).file()
     var_of = {name: Var(name) for name in var_names}
     defined = {lhs[0] for lhs, _ in raw_rules}
     symbols: dict[str, Symbol] = {}  # arity and kind fixed by the first use
 
-    def build(raw: Raw, seen: dict[str, int]) -> Term:
-        """Check and build `raw` in pre-order; note each variable's first
-        offset in `seen`."""
+    def resolve(raw: Raw, seen: dict[str, int]) -> Var | Symbol:
+        """Check `raw`'s node; note each variable's first offset in `seen`."""
         name, args, offset = raw
         var = var_of.get(name)
         if var is not None:
@@ -171,14 +203,15 @@ def parse_trs(src: str) -> Trs:
             sym = symbols[name] = Symbol(name, len(args), kind)
         elif sym.arity != len(args):
             raise _arity_error(src, raw, sym.arity)
-        return App(sym, tuple([build(a, seen) for a in args]))
+        return sym
 
     rules = []
     loose_error = None
     for lhs, rhs in raw_rules:
         lhs_vars: dict[str, int] = {}
         rhs_vars: dict[str, int] = {}
-        lt, rt = build(lhs, lhs_vars), build(rhs, rhs_vars)
+        lt = _build(lhs, lambda raw: resolve(raw, lhs_vars))
+        rt = _build(rhs, lambda raw: resolve(raw, rhs_vars))
         loose = [v for v in rhs_vars if v not in lhs_vars]
         if loose:
             if loose_error is None:
@@ -219,16 +252,16 @@ def parse_term(src: str, trs: Trs) -> Term:
     parser.take("eof", "end of term")
     by_name = {s.name: s for s in trs.signature}
 
-    def build(r: Raw) -> Term:
+    def resolve(r: Raw) -> Symbol:
         name, args, offset = r
         sym = by_name.get(name)
         if sym is None:
             raise _error(src, f"unknown symbol {name}", offset, name)
         if sym.arity != len(args):
             raise _arity_error(src, r, sym.arity)
-        return App(sym, tuple([build(a) for a in args]))
+        return sym
 
-    return build(raw)
+    return _build(raw, resolve)
 
 
 _START = Symbol("start", 1, Kind.DEFINED)

@@ -18,18 +18,19 @@ Two modes:
 - "dense": literally sweep every key (every defined symbol, every argument
   tuple over B) per generation.  This is the reference procedure whose
   operation count obeys the O(n^(3k+3)) bound (k = max defined arity).
-- "demand": tabled evaluation of only the keys transitively read while
-  evaluating the start term.  A key is evaluated when it is first read, after
-  the keys it reads (an explicit stack, not Python recursion), and evaluated
-  again only inside a strongly connected component of the read graph, found
-  by Tarjan lowlinks: passes over its members, each against the latest
-  values, until one changes nothing (SCC completion, as in Chen and Warren's
-  tabling).  On an acyclic cone, which the bundled machines have, each key is
-  evaluated once.  Values agree with the dense fixpoint on every demanded key:
-  a complete key's reads are complete, and a component's last pass is a
-  fixpoint over its members.  Demand `generations` is 1 plus the number of
-  passes that set a new fact, so it is 1 on an acyclic cone, and `basic_ops`
-  counts one fixpoint comparison per pass instead of per sweep.  This is what
+- "demand": the same saturation restricted to the keys transitively read
+  while evaluating the start term, in rounds.  A round evaluates each key
+  when it is first read, after the keys it reads (an explicit stack of
+  generators, not Python recursion); a read of a key still being evaluated
+  closes a cycle of the read graph and sees its current value.  A round that
+  met no cycle, or changed nothing, ends the run; otherwise another round
+  evaluates the whole cone again.  On an acyclic cone, which the bundled
+  machines have, this is one round and each key is evaluated once.  On a
+  cyclic one it is chaotic iteration from the empty table: values only grow,
+  so it ends at the least fixpoint on the cone, which agrees with the dense
+  fixpoint on every demanded key.  Demand `generations` is 1 plus the number
+  of repeat rounds that set a new fact, so it is 1 on an acyclic cone, and
+  `basic_ops` counts one fixpoint comparison per repeat round.  This is what
   makes compiled Turing machines, whose symbols have higher arities,
   affordable to run.
 
@@ -46,7 +47,6 @@ evaluator would, a node shared by identity once, so the counts are the same.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -198,20 +198,6 @@ class _Plans:
         return plan
 
 
-class _Frame:
-    """A running evaluation on `run_demand`'s stack: `index` is its key's
-    place on the stack of open keys, `low` the least place it reached,
-    `cyclic` whether it read an open key, and `gen` the generator it drives,
-    which `start` makes from the frame itself."""
-
-    __slots__ = ("gen", "index", "low", "cyclic")
-
-    def __init__(self, index: int, start: Callable[[_Frame], Iterator[Key]]):
-        self.index = self.low = index
-        self.cyclic = False
-        self.gen = start(self)
-
-
 class _Engine:
     def __init__(self, trs: Trs, b: BSet):
         plans = trs.memo.get("plans") or trs.memo.setdefault("plans", _Plans(trs))
@@ -228,12 +214,6 @@ class _Engine:
             t = plans.pool[self.consts.index(None)]
             raise ValueError(f"term {format_term(t)} is outside the data universe")
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
-        # demand mode: complete keys, whose values are final, and the open
-        # keys in Tarjan's stack order with each one's place on it
-        self._done: set[Key] = set()
-        self._stack: list[Key] = []
-        self._open: dict[Key, int] = {}
-        self.generations = 1
 
     def _ground(self, t: Term) -> tuple[tuple, list[int]]:
         """Body and registers of a ground term, its data looked up as its own
@@ -269,33 +249,37 @@ class _Engine:
         self.ops = ops
         return mask
 
-    def _reads(self, body: tuple, regs: list[int]) -> Iterator[Key]:
-        """`_values` for demand mode, as a generator: it yields each key it
-        reads that is not yet complete, and reads its value once resumed."""
-        leaves, nodes = body
+    def _evaluate(
+        self, bodies: list[tuple[tuple, list[int]]], value: int, done: set[Key]
+    ) -> Iterator[Key]:
+        """`value` joined with the possible values of `bodies`, as a generator
+        for demand mode: it yields each key it reads that is not in `done`,
+        and reads that key's value once resumed."""
         consts = self.consts
-        vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
-        if not nodes:
-            return 1 << vals[0][0]
         get = self.table.get
-        done = self._done
         tuples = self._bit_tuples
-        ops = 0  # added to self.ops on return; other frames count meanwhile
-        for name, slots in nodes:
-            ops += 1  # nf cache miss
-            mask = 0
-            for combo in itertools.product(*[vals[s] for s in slots]):
-                key = (name, combo)
-                ops += 1  # table lookup
-                if key not in done:
-                    yield key
-                mask |= get(key, 0)
-            bits = tuples.get(mask)
-            if bits is None:
-                bits = tuples[mask] = tuple(_bits(mask))
-            vals.append(bits)
+        ops = 0  # added to self.ops at the end; other keys count meanwhile
+        for (leaves, nodes), regs in bodies:
+            vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
+            if not nodes:
+                value |= 1 << vals[0][0]
+                continue
+            for name, slots in nodes:
+                ops += 1  # nf cache miss
+                mask = 0
+                for combo in itertools.product(*[vals[s] for s in slots]):
+                    key = (name, combo)
+                    ops += 1  # table lookup
+                    if key not in done:
+                        yield key
+                    mask |= get(key, 0)
+                bits = tuples.get(mask)
+                if bits is None:
+                    bits = tuples[mask] = tuple(_bits(mask))
+                vals.append(bits)
+            value |= mask
         self.ops += ops
-        return mask
+        return value
 
     def _set(self, key: Key, value: int) -> bool:
         """Store a key's new value; whether it changed."""
@@ -345,70 +329,51 @@ class _Engine:
             for key, value in updates.items():
                 self._set(key, value)
 
-    def _update_key(self, key: Key) -> Iterator[Key]:
-        """A key's value from its rules against the current table, as a
-        generator over the keys read that are not yet complete."""
-        value = self.table.get(key, 0)
-        for body, regs in self._matches(key):
-            value |= yield from self._reads(body, regs)
-        return value
-
-    def _settle(self, key: Key, frame: _Frame) -> Iterator[Key]:
-        """Evaluate `key`.  If it then roots a strongly connected component
-        of the read graph, iterate the component to its fixpoint and
-        complete it, unless a pass reads an outer open key: then the
-        lowlink goes up and an outer root iterates the larger component."""
-        stack, index = self._stack, frame.index
-        self._set(key, (yield from self._update_key(key)))
-        if frame.low == index and (frame.cyclic or len(stack) > index + 1):
-            while True:
-                self.ops += 1  # fixpoint comparison for this pass
-                end = len(stack)
-                changed = False
-                for member in stack[index:end]:
-                    changed |= self._set(member, (yield from self._update_key(member)))
-                self.generations += changed
-                if frame.low < index or not changed and len(stack) == end:
-                    break
-        if frame.low == index:
-            self._done.update(stack[index:])
-            for member in stack[index:]:
-                del self._open[member]
-            del stack[index:]
-
     def run_demand(self, root: Term) -> int:
-        """Saturate only the keys read while evaluating `root`.
+        """Saturate only the keys read while evaluating `root`, in rounds.
 
-        Tabled evaluation: a key is evaluated when first read, after the keys
-        it reads, by a loop over an explicit stack of frames, so no call chain
-        meets the interpreter's recursion limit.  Tarjan lowlinks find the
-        strongly connected components of the read graph, and only inside one
-        is a key evaluated again: passes over the component's members, each
-        against the latest values, until a pass changes no value and adds no
-        member.  On an acyclic cone every key is evaluated once.
+        A round evaluates `root` and, depth first, each key it reads that
+        the round has not evaluated yet, before the read resumes: a stack of
+        generators, so no call chain meets the interpreter's recursion limit.
+        A read of a key still open on the stack closes a cycle of the read
+        graph and sees the key's current value.  A round that met no cycle,
+        or changed no value, leaves a fixpoint on the keys it read, so the
+        run stops; otherwise another round starts.  On an acyclic cone this
+        is one round, each key evaluated once, after the keys it reads.
 
-        Returns the generations: 1, plus each pass that set a new fact.
+        Returns the generations: 1, plus each repeat round that set a new
+        fact.
         """
-        # the root's frame: it is no key, and it reads no open key
-        frames = [_Frame(0, lambda _: self._reads(*self._ground(root)))]
-        while frames:
-            top = frames[-1]
-            try:
-                key = next(top.gen)
-            except StopIteration:
-                frames.pop()
-                if frames:
-                    frames[-1].low = min(frames[-1].low, top.low)
-                continue
-            place = self._open.get(key)
-            if place is None:  # first read: evaluate it now
-                place = self._open[key] = len(self._stack)
-                self._stack.append(key)
-                frames.append(_Frame(place, functools.partial(self._settle, key)))
-            else:  # an open key: the read graph has a cycle through it
-                top.low = min(top.low, place)
-                top.cyclic = True
-        return self.generations
+        ground = [self._ground(root)]
+        generations = 1
+        repeat = False
+        while True:
+            done: set[Key] = set()
+            open_keys: set[Key] = set()
+            cyclic = changed = False
+            stack = [(None, self._evaluate(ground, 0, done))]
+            while stack:
+                key, gen = stack[-1]
+                try:
+                    read = next(gen)
+                except StopIteration as stop:
+                    stack.pop()
+                    if key is not None:
+                        changed |= self._set(key, stop.value)
+                        open_keys.remove(key)
+                        done.add(key)
+                    continue
+                if read in open_keys:
+                    cyclic = True
+                else:
+                    open_keys.add(read)
+                    bodies, value = self._matches(read), self.table.get(read, 0)
+                    stack.append((read, self._evaluate(bodies, value, done)))
+            generations += repeat and changed
+            if not cyclic or not changed:
+                return generations
+            repeat = True
+            self.ops += 1  # fixpoint comparison for the next round
 
 
 def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTable:

@@ -119,11 +119,25 @@ Substitution = dict[str, Term]
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.head.name
-    return f"{t.head.name}({', '.join(format_term(a) for a in t.args)})"
+    """`f(a, g(x))` notation; a constant is its bare name."""
+    parts: list[str] = []
+    todo: list = [t]  # terms and the separators between them
+    while todo:
+        u = todo.pop()
+        if isinstance(u, str):
+            parts.append(u)
+        elif isinstance(u, Var):
+            parts.append(u.name)
+        elif not u.args:
+            parts.append(u.head.name)
+        else:
+            parts.append(u.head.name + "(")
+            todo.append(")")
+            for i in range(len(u.args) - 1, 0, -1):
+                todo.append(u.args[i])
+                todo.append(", ")
+            todo.append(u.args[0])
+    return "".join(parts)
 
 
 def size(t: Term) -> int:

@@ -25,8 +25,9 @@ key obstacles and the tricks used:
   returns nil once the scan runs off the list).
 
 The step bound digit decomposition is hardwired per degree: k = 1 uses
-T = (1, n), k = 2 uses T = (0, n, 1); higher degrees have no uniform
-decomposition into suffix lengths, so compile_tm rejects them.
+T = (1, n), k = 2 uses T = (0, n, 1).  Higher degrees also decompose, for
+inputs long enough, into digits that are constants or n minus a constant,
+but that construction is not implemented yet, so compile_tm rejects them.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     k = tm.clock_degree
     if k not in (1, 2):
         raise ValueError(
-            f"cannot compile clock degree {k}: only degrees 1 and 2 have a "
-            "uniform digit decomposition of the step bound"
+            f"cannot compile clock degree {k}: only degrees 1 and 2 are "
+            "implemented so far"
         )
     td, pd = k + 1, k + 2  # digits per time / position counter
 

@@ -76,6 +76,20 @@ def test_check_not_constrained(capsys, tmp_path):
     assert "constrained: no (" in out
 
 
+def test_check_deep_file_under_default_recursion_limit(capsys, tmp_path):
+    # the reader, the term builder and the witness search are iterative: a
+    # right-hand side nested 2000 deep meets no recursion limit
+    deep = tmp_path / "deep.trs"
+    deep.write_text(f"(VAR x)(RULES f(x) -> {'g(' * 2000}x{')' * 2000} g(x) -> x)\n")
+    code, out, _ = run(capsys, "check", str(deep))
+    assert code == 0
+    assert out.splitlines() == [
+        "cons-free: ok",
+        "semi-linear: ok (all rules)",
+        "constrained: ok (A = {g})",
+    ]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no/such/file.trs")
     assert code == 2
@@ -207,6 +221,18 @@ def test_run_cbv_strategy(capsys):
     assert code == 0
     # call-by-value can only spin on the argument
     assert out.splitlines()[-1] == "result: f(a)"
+
+
+def test_run_prints_deep_terms(capsys, tmp_path):
+    # each step nests f once more; format_term is iterative, so 1201 levels
+    # meet no recursion limit
+    src = tmp_path / "grow.trs"
+    src.write_text("(VAR x)(RULES f(x) -> f(f(x)) g(a) -> a)\n")
+    code, out, _ = run(capsys, "run", str(src), "f(a)", "--max-steps", "1200")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1201
+    assert lines[-1] == f"result: {'f(' * 1201}a{')' * 1201}"
 
 
 def test_run_bad_term(capsys):

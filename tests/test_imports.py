@@ -1,6 +1,6 @@
 """Every name a module under src/consfree imports is used in that module,
-and every private module-level name and nested function it defines is read
-in that module.
+and every private module-level name, nested function, private method and
+private `self._x` attribute it defines is read in that module.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -35,6 +35,10 @@ def unused_imports(source: str) -> list[str]:
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unread_private_names(source: str) -> list[str]:
     """Module-level `_name` functions, classes and assignments, and functions
     defined inside functions, that nothing outside their own definition reads."""
@@ -46,8 +50,7 @@ def unread_private_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
-    bound = [(name, node) for name, node in bound
-             if name.startswith("_") and not name.startswith("__")]
+    bound = [(name, node) for name, node in bound if is_private(name)]
     for outer in ast.walk(tree):
         if isinstance(outer, FUNCS):
             bound += [(inner.name, inner) for inner in ast.walk(outer)
@@ -60,6 +63,31 @@ def unread_private_names(source: str) -> list[str]:
         if not any(n.id == name and id(n) not in inside for n in reads):
             unread.append(f"{name} (line {node.lineno})")
     return unread
+
+
+def unread_private_members(source: str) -> list[str]:
+    """Private methods (`def _x` in a class) and private attributes stored as
+    `self._x` that nothing in the module reads as an attribute, a method's
+    own body aside."""
+    tree = ast.parse(source)
+    bound: list[tuple[str, ast.AST]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bound += [(f.name, f) for f in node.body if isinstance(f, FUNCS)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            bound.append((node.attr, node))
+    reads = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    unread: dict[str, int] = {}  # name: line of its first definition
+    for name, node in bound:
+        if not is_private(name) or name in unread:
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(n.attr == name and id(n) not in inside for n in reads):
+            unread[name] = node.lineno
+    return [f"{name} (line {line})" for name, line in sorted(
+        unread.items(), key=lambda item: item[1])]
 
 
 def test_checker_flags_unused_and_accepts_used():
@@ -81,6 +109,24 @@ def test_private_name_checker_flags_unread_and_accepts_read():
     ]
 
 
+def test_private_member_checker_flags_unread_and_accepts_read():
+    src = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._kept = 1\n"
+        "        self._lost = 2\n"
+        "        self._lost = 3\n"
+        "        self.public = 4\n"
+        "    def _dead(self, n):\n"
+        "        return self._dead(n - 1)\n"  # reads only itself
+        "    def _live(self):\n"
+        "        return self._kept\n"
+        "    def run(self):\n"
+        "        return self._live()\n"
+    )
+    assert unread_private_members(src) == ["_lost (line 4)", "_dead (line 7)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -89,3 +135,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unread_private_members(path):
+    assert unread_private_members(path.read_text(encoding="utf-8")) == []
