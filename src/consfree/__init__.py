@@ -24,7 +24,6 @@ from .terms import (  # noqa: E402
     apply,
     format_term,
     is_data,
-    make_trs,
     match,
     positions,
     replace_at,
@@ -44,7 +43,6 @@ __all__ = [
     "encode_input",
     "format_term",
     "is_data",
-    "make_trs",
     "match",
     "parse_trs",
     "positions",

@@ -20,7 +20,18 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, format_term, variables
+from .terms import (
+    App,
+    Kind,
+    Rule,
+    Symbol,
+    Term,
+    Trs,
+    Var,
+    build,
+    format_term,
+    variables,
+)
 
 IDENT_CHARS = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
@@ -162,7 +173,7 @@ def _arity_error(src: str, raw: Raw, arity: int) -> ParseError:
 def _build(raw: Raw, resolve: Callable[[Raw], Var | Symbol]) -> Term:
     """The term `raw` stands for.  `resolve` checks each node in pre-order,
     so the first error in pre-order is raised, and gives its variable or
-    symbol; the term is then built bottom-up on an explicit stack."""
+    symbol."""
     order: list[Var | Symbol] = []
     todo = [raw]
     while todo:
@@ -170,15 +181,7 @@ def _build(raw: Raw, resolve: Callable[[Raw], Var | Symbol]) -> Term:
         order.append(resolve(r))
         if r[1]:
             todo.extend(reversed(r[1]))
-    built: list[Term] = []
-    for x in reversed(order):  # a node's arguments are the last built, first on top
-        if isinstance(x, Var):
-            built.append(x)
-        elif x.arity:
-            built[-x.arity:] = [App(x, tuple(built[: -x.arity - 1 : -1]))]
-        else:
-            built.append(App(x))
-    return built[0]
+    return build(order)
 
 
 def parse_trs(src: str) -> Trs:
@@ -228,7 +231,7 @@ def parse_trs(src: str) -> Trs:
             raise _error(src, message, offset, name)
     if loose_error is not None:
         raise loose_error
-    return Trs(tuple(symbols[name] for name in sorted(symbols)), tuple(rules))
+    return Trs(tuple(rules))
 
 
 def print_trs(trs: Trs) -> str:

@@ -129,21 +129,19 @@ def _compile(t: Term, leaf: Callable[[Term], int]) -> tuple:
     leaves: list[int] = []
     nodes: list[tuple[str, list[int]]] = []
     ref: dict[int, int] = {}  # id(u) -> leaf slot, or ~node
-
-    def go(u: Term) -> int:
-        r = ref.get(id(u))
-        if r is None:
+    todo: list[tuple[Term, bool]] = [(t, False)]  # (node, arguments compiled)
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            nodes.append((u.head.name, [ref[id(a)] for a in u.args]))
+            ref[id(u)] = ~(len(nodes) - 1)
+        elif id(u) not in ref:
             if isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR:
                 leaves.append(leaf(u))
-                r = len(leaves) - 1
+                ref[id(u)] = len(leaves) - 1
             else:
-                args = [go(a) for a in u.args]
-                nodes.append((u.head.name, args))
-                r = ~(len(nodes) - 1)
-            ref[id(u)] = r
-        return r
-
-    go(t)
+                todo.append((u, True))
+                todo.extend((a, False) for a in reversed(u.args))
     n = len(leaves)
     return tuple(leaves), tuple(
         (name, tuple(s if s >= 0 else n + ~s for s in args)) for name, args in nodes

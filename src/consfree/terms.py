@@ -11,7 +11,7 @@ All functions here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import ClassVar, Optional, Sequence
 
@@ -182,10 +182,14 @@ def subterms(t: Term) -> list[Term]:
 
 def positions(t: Term) -> list[Position]:
     """All positions of t in pre-order, root (empty tuple) first."""
-    out: list[Position] = [()]
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            out.extend((i, *p) for p in positions(a))
+    out: list[Position] = []
+    todo: list[tuple[Position, Term]] = [((), t)]
+    while todo:
+        pos, u = todo.pop()
+        out.append(pos)
+        if isinstance(u, App):
+            for i in range(len(u.args), 0, -1):
+                todo.append(((*pos, i), u.args[i - 1]))
     return out
 
 
@@ -261,20 +265,31 @@ def apply(subst: Substitution, t: Term) -> Term:
     return App(t.head, tuple([apply(subst, a) for a in t.args]))
 
 
+def build(order: Sequence[Symbol | Term | int]) -> Term:
+    """The term whose nodes `order` lists in pre-order.  A symbol is a node
+    whose arity-many arguments follow it, a term stands for itself, and an
+    int k before an argument makes k copies (one object) of it.  The term is
+    built bottom-up on an explicit stack, so depth meets no recursion limit."""
+    built: list[Term] = []
+    for x in reversed(order):  # a node's arguments are the last built, first on top
+        if isinstance(x, Symbol):
+            if x.arity:
+                built[-x.arity:] = [App(x, tuple(built[: -x.arity - 1 : -1]))]
+            else:
+                built.append(App(x))
+        elif isinstance(x, int):
+            built.extend([built[-1]] * (x - 1))
+        else:
+            built.append(x)
+    return built[0]
+
+
 @dataclass(frozen=True)
 class Rule:
+    """A rewrite rule lhs -> rhs: a plain pair, checked by `Trs`."""
+
     lhs: Term
     rhs: Term
-
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError("rule left-hand side must not be a variable")
-        extra = variables(self.rhs) - variables(self.lhs)
-        if extra:
-            raise ValueError(
-                f"right-hand side uses variables not bound on the left: "
-                f"{', '.join(sorted(extra))}"
-            )
 
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} -> {format_term(self.rhs)}"
@@ -282,11 +297,11 @@ class Rule:
 
 @dataclass(frozen=True)
 class Trs:
-    """A rewrite system: a signature plus an ordered list of rules.
-
-    Symbol kinds are taken as given: every lhs root must be Defined, and a
-    defined symbol may have no rules.  `make_trs` builds the signature from
-    the rules.
+    """A rewrite system: an ordered tuple of rules, checked by one walk each
+    (the lhs is a defined symbol applied to arguments, every rhs variable
+    occurs in the lhs), and the derived `signature`: the rules' symbols and
+    `extra` (a defined symbol may have no rules), sorted by name.  Kinds are
+    taken as given.  Raises ValueError when one name stands for two symbols.
 
     `by_head` maps each head name to its `(index, rule)` pairs in file order.
     `memo` holds facts other modules compute once per system because they do
@@ -295,35 +310,48 @@ class Trs:
     equality, so two equal systems never share a memo.
     """
 
-    signature: tuple[Symbol, ...]
     rules: tuple[Rule, ...]
+    extra: InitVar[tuple[Symbol, ...]] = ()
+    signature: tuple[Symbol, ...] = field(init=False)
     by_head: dict[str, tuple[tuple[int, Rule], ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
     memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        names = [s.name for s in self.signature]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate symbol names in signature")
-        by_name = {s.name: s for s in self.signature}
+    def __post_init__(self, extra: tuple[Symbol, ...]) -> None:
+        seen: dict[str, Symbol] = {}
         by_head: dict[str, list[tuple[int, Rule]]] = {}
         for i, rule in enumerate(self.rules):
-            todo: list[Term] = [rule.rhs, rule.lhs]  # popped in pre-order, lhs first
-            while todo:
-                t = todo.pop()
-                if isinstance(t, App):
-                    if by_name.get(t.head.name) is not t.head:
-                        raise ValueError(
-                            f"rule {i} uses {t.head} missing from the signature"
-                        )
-                    todo.extend(reversed(t.args))
-            assert isinstance(rule.lhs, App)
-            if rule.lhs.head.kind is not Kind.DEFINED:
+            lhs = rule.lhs
+            if isinstance(lhs, Var):
+                raise ValueError(f"rule {i} has a variable left-hand side")
+            if lhs.head.kind is not Kind.DEFINED:
+                raise ValueError(f"rule {i} rewrites constructor {lhs.head.name}")
+            sides: list[set[str]] = []  # variable names of lhs, of rhs
+            for side in (lhs, rule.rhs):
+                names: set[str] = set()
+                todo = [side]
+                while todo:
+                    t = todo.pop()
+                    if isinstance(t, Var):
+                        names.add(t.name)
+                    else:
+                        head = t.head
+                        if seen.setdefault(head.name, head) is not head:
+                            raise ValueError(f"inconsistent uses of symbol {head.name}")
+                        todo.extend(t.args)
+                sides.append(names)
+            loose = sides[1] - sides[0]
+            if loose:
                 raise ValueError(
-                    f"rule {i} rewrites constructor {rule.lhs.head.name}"
+                    f"rule {i} uses variables not bound on its left-hand side: "
+                    f"{', '.join(sorted(loose))}"
                 )
-            by_head.setdefault(rule.lhs.head.name, []).append((i, rule))
+            by_head.setdefault(lhs.head.name, []).append((i, rule))
+        for s in extra:
+            if seen.setdefault(s.name, s) is not s:
+                raise ValueError(f"inconsistent uses of symbol {s.name}")
+        object.__setattr__(self, "signature", tuple(seen[n] for n in sorted(seen)))
         self.by_head.update({name: tuple(pairs) for name, pairs in by_head.items()})
 
     def symbol(self, name: str) -> Symbol:
@@ -342,51 +370,17 @@ class Trs:
         return [(i, r) for i, r in self.by_head.get(sym.name, ()) if r.lhs.head is sym]
 
 
-def make_trs(rules: Sequence[Rule], extra: tuple[Symbol, ...] = ()) -> Trs:
-    """Build a Trs whose signature holds the symbols of `rules`, then `extra`.
-
-    Kinds are taken as given and the rule objects are reused.  `extra`
-    declares symbols beyond those occurring in the rules (a defined symbol
-    may have no rules).  Raises ValueError when one name is used with two
-    different symbols.
-    """
-    seen: dict[str, Symbol] = {}
-
-    def note(sym: Symbol) -> None:
-        if seen.setdefault(sym.name, sym) is not sym:
-            raise ValueError(f"inconsistent uses of symbol {sym.name}")
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            note(t.head)
-            for a in t.args:
-                walk(a)
-
-    for rule in rules:
-        walk(rule.lhs)
-        walk(rule.rhs)
-    for s in extra:
-        note(s)
-    return Trs(tuple(seen[name] for name in sorted(seen)), tuple(rules))
-
-
 def canonical_rule(rule: Rule) -> Rule:
     """Rename rule variables to v1, v2, ... in order of first occurrence.
 
     Two rules are equal up to variable renaming iff their canonical forms are
     structurally equal.
     """
-    order: dict[str, str] = {}
+    order: Substitution = {}
     for t in subterms(rule.lhs) + subterms(rule.rhs):
         if isinstance(t, Var) and t.name not in order:
-            order[t.name] = f"v{len(order) + 1}"
-
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(order[t.name])
-        return App(t.head, tuple(rename(a) for a in t.args))
-
-    return Rule(rename(rule.lhs), rename(rule.rhs))
+            order[t.name] = Var(f"v{len(order) + 1}")
+    return Rule(apply(order, rule.lhs), apply(order, rule.rhs))
 
 
 def same_rules(a: Trs, b: Trs) -> bool:

@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 from .fmt import IDENT_CHARS
-from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, make_trs
+from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
 
 _MOVES = ("L", "R", "S")
 
@@ -522,5 +522,5 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
         for sym in group:
             roles[sym.name] = role
 
-    trs = make_trs(rules, (cons, nil, true, false, bits["0"], bits["1"]))
+    trs = Trs(tuple(rules), (cons, nil, true, false, bits["0"], bits["1"]))
     return CompiledTrs(trs=trs, symbol_manifest=roles)

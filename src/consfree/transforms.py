@@ -28,9 +28,9 @@ from .terms import (
     Term,
     Trs,
     Var,
+    build,
     format_term,
     is_constructor_term,
-    make_trs,
     subterms,
     variables,
 )
@@ -84,25 +84,28 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
     defined symbols (below a constructor there is only data to copy).
     `t` is a term of `trs`.  Each head is widened as it is met; symbols are
     shared objects, so these are the very symbols of `semi_linearize(trs)`.
+    A repeated argument is one object, built once.
     """
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return u
-        if u.head.kind is Kind.CONSTRUCTOR:
-            if not is_constructor_term(u):
-                raise ValueError(
-                    f"cannot transform {format_term(u)}: defined symbol below "
-                    "a constructor"
-                )
-            return u
-        args: list[Term] = []
-        for i, a in enumerate(u.args, start=1):
-            args.extend([go(a)] * counts.of(u.head.name, i))
-        head = u.head
-        return App(Symbol(head.name, counts.new_arity(head), head.kind), tuple(args))
-
-    return go(t)
+    order: list = []  # pre-order for `build`: widened heads, leaves, copy counts
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, App) and u.head.kind is Kind.DEFINED:
+            head = u.head
+            order.append(Symbol(head.name, counts.new_arity(head), head.kind))
+            for i in range(len(u.args), 0, -1):
+                todo.append(u.args[i - 1])
+                k = counts.of(head.name, i)
+                if k > 1:
+                    todo.append(k)
+        elif isinstance(u, int) or is_constructor_term(u):
+            order.append(u)
+        else:
+            raise ValueError(
+                f"cannot transform {format_term(u)}: defined symbol below "
+                "a constructor"
+            )
+    return build(order)
 
 
 def _fresh(name: str, used: set[str]) -> str:
@@ -150,21 +153,24 @@ def semi_linearize(trs: Trs) -> Trs:
             new_args.extend(Var(x) for x in extras)
             if isinstance(arg, Var):
                 copies[arg.name] = [arg.name, *extras]
+        # pre-order: first occurrence keeps its name, later ones take copies
         taken: dict[str, int] = {}
-
-        def spread(u: Term) -> Term:
-            # pre-order: first occurrence keeps its name, later ones take copies
-            if isinstance(u, Var):
-                names = copies.get(u.name)
-                if names is None:
-                    return u
+        order: list[Term | Symbol] = []
+        todo = [rule.rhs]
+        while todo:
+            u = todo.pop()
+            if isinstance(u, Var) and u.name in copies:
                 k = taken.get(u.name, 0)
                 taken[u.name] = k + 1
-                return Var(names[k])
-            return App(u.head, tuple(spread(a) for a in u.args))
+                order.append(Var(copies[u.name][k]))
+            elif isinstance(u, App) and not u.is_data:
+                order.append(u.head)
+                todo.extend(reversed(u.args))
+            else:
+                order.append(u)
 
         new_lhs = App(sigmap[lhs.head.name], tuple(new_args))
-        new_rules.append(Rule(new_lhs, phi(trs, counts, spread(rule.rhs))))
+        new_rules.append(Rule(new_lhs, phi(trs, counts, build(order))))
 
     if has_decision_interface(trs):
         wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
@@ -186,7 +192,7 @@ def semi_linearize(trs: Trs) -> Trs:
         for s in trs.signature
         if s.kind is Kind.DEFINED and not trs.rules_for(s)
     )
-    return make_trs(new_rules, extra + extra_syms)
+    return Trs(tuple(new_rules), extra + extra_syms)
 
 
 def bottom_extend(trs: Trs) -> Trs:
@@ -199,7 +205,7 @@ def bottom_extend(trs: Trs) -> Trs:
     new_rules = list(trs.rules)
     for sym in trs.defined():
         new_rules.append(Rule(App(sym, _pattern_vars(sym.arity, names)), App(bot)))
-    return make_trs(new_rules, (bot,))
+    return Trs(tuple(new_rules), (bot,))
 
 
 def verify_semi_linearization(

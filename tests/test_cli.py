@@ -9,7 +9,7 @@ import pytest
 
 from consfree import __version__
 from consfree.cli import main
-from consfree.fmt import parse_trs
+from consfree.fmt import parse_trs, print_trs
 
 from conftest import CORPUS, MACHINES, ROOT
 
@@ -77,8 +77,9 @@ def test_check_not_constrained(capsys, tmp_path):
 
 
 def test_check_deep_file_under_default_recursion_limit(capsys, tmp_path):
-    # the reader, the term builder and the witness search are iterative: a
-    # right-hand side nested 2000 deep meets no recursion limit
+    # the reader, the term builder, the witness search, the system check and
+    # the transforms are iterative: a right-hand side nested 2000 deep meets
+    # no recursion limit
     deep = tmp_path / "deep.trs"
     deep.write_text(f"(VAR x)(RULES f(x) -> {'g(' * 2000}x{')' * 2000} g(x) -> x)\n")
     code, out, _ = run(capsys, "check", str(deep))
@@ -88,6 +89,23 @@ def test_check_deep_file_under_default_recursion_limit(capsys, tmp_path):
         "semi-linear: ok (all rules)",
         "constrained: ok (A = {g})",
     ]
+    for xform in ("semilin", "bottom", "both"):
+        code, out, _ = run(capsys, "transform", str(deep), "--pass", xform)
+        assert code == 0, xform
+        assert print_trs(parse_trs(out)) == out, xform
+
+
+@pytest.mark.parametrize("mode", ["dense", "demand"])
+def test_decide_deep_rhs_under_default_recursion_limit(capsys, tmp_path, mode):
+    # compiling a right-hand side nested 2000 deep into a rule plan is iterative
+    deep = tmp_path / "deep.trs"
+    deep.write_text(
+        f"(VAR x xs)(RULES start(x) -> {'g(' * 2000}true{')' * 2000} g(x) -> x\n"
+        "  h(cons(0, xs)) -> false  h(cons(1, nil)) -> false)\n"
+    )
+    code, out, _ = run(capsys, "decide", str(deep), "01", "--table-mode", mode)
+    assert code == 0
+    assert out.splitlines()[0] == "yes"
 
 
 def test_check_missing_file(capsys):

@@ -76,8 +76,9 @@ def test_parse_error_carries_position():
 
 
 def _roundtrip_systems():
-    """The corpus, plus every system `make_trs` builds from it: the compiled
-    machines and the transforms of each constrained corpus system."""
+    """The corpus, plus every system the library builds with `Trs(rules,
+    extra)`: the compiled machines and the transforms of each constrained
+    corpus system."""
     for name in CORPUS_NAMES:
         trs = load_system(name)
         yield name, trs

@@ -90,6 +90,46 @@ def unread_private_members(source: str) -> list[str]:
         unread.items(), key=lambda item: item[1])]
 
 
+def calls_itself(func: ast.AST) -> bool:
+    """`func` calls its own name: `name(...)`, or `self.name(...)`."""
+    name = func.name
+    for n in ast.walk(func):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name) and f.id == name:
+                return True
+            if (isinstance(f, ast.Attribute) and f.attr == name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+    return False
+
+
+def recursive_functions(source: str) -> list[str]:
+    """Qualified names of the functions, nested ones and methods included,
+    that call themselves by name."""
+    found = []
+    todo = [(ast.parse(source), "")]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCS, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, FUNCS) and calls_itself(child):
+                    found.append(name)
+                todo.append((child, name + "."))
+            else:
+                todo.append((child, prefix))
+    return sorted(found)
+
+
+# walks that stay recursive, each with the reason it may
+RECURSION_ALLOWED = {
+    "analysis._compositions": "its depth is a symbol's arity",
+    "terms.apply": "it runs on every oracle rewrite, and an iterative apply "
+    "measured about 40 % slower per call",
+}
+
+
 def test_checker_flags_unused_and_accepts_used():
     src = "from __future__ import annotations\nimport os\nfrom x import a, b\nb()\n"
     assert unused_imports(src) == ["os (line 2)", "a (line 3)"]
@@ -140,3 +180,22 @@ def test_no_unread_private_names(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_unread_private_members(path):
     assert unread_private_members(path.read_text(encoding="utf-8")) == []
+
+
+def test_recursion_checker_flags_self_calls():
+    src = (
+        "def f(n):\n    return f(n - 1)\n"
+        "def outer():\n    def go(n):\n        return go(n)\n    return go(1)\n"
+        "def calls_other():\n    return f(1)\n"
+        "class A:\n"
+        "    def m(self):\n        return self.m()\n"
+        "    def n(self, other):\n        return other.n()\n"
+    )
+    assert recursive_functions(src) == ["A.m", "f", "outer.go"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_recursion_outside_the_allow_list(path):
+    found = [f"{path.stem}.{name}" for name in
+             recursive_functions(path.read_text(encoding="utf-8"))]
+    assert [name for name in found if name not in RECURSION_ALLOWED] == []

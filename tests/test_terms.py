@@ -16,7 +16,6 @@ from consfree.terms import (
     format_term,
     is_constructor_term,
     is_data,
-    make_trs,
     match,
     positions,
     replace_at,
@@ -131,34 +130,26 @@ def test_apply_roundtrip():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        Rule(Var("x"), App(NIL))
-    with pytest.raises(ValueError):
-        Rule(App(F, (Var("x"),)), Var("y"))
+    with pytest.raises(ValueError, match="variable left-hand side"):
+        Trs((Rule(Var("x"), App(NIL)),))
+    with pytest.raises(ValueError, match="not bound on its left-hand side: y"):
+        Trs((Rule(App(F, (Var("x"),)), Var("y")),))
     r = Rule(App(F, (Var("x"),)), Var("x"))
     assert str(r) == "f(x) -> x"
-
-
-def test_trs_validation():
-    rule = Rule(App(F, (Var("x"),)), App(NIL))
-    with pytest.raises(ValueError, match="duplicate symbol"):
-        Trs((F, F), (rule,))
-    with pytest.raises(ValueError, match="missing from the signature"):
-        Trs((F,), (rule,))
 
 
 def test_trs_rejects_constructor_lhs():
     c = Symbol("c", 1, Kind.CONSTRUCTOR)
     with pytest.raises(ValueError, match="rewrites constructor"):
-        Trs((c, NIL), (Rule(App(c, (Var("x"),)), App(NIL)),))
+        Trs((Rule(App(c, (Var("x"),)), App(NIL)),))
 
 
-def test_make_trs_infers_kinds():
-    rules = [
+def test_trs_infers_kinds():
+    rules = (
         Rule(App(F, (App(NIL),)), App(NIL)),
         Rule(App(G, (Var("x"), Var("y"))), Var("x")),
-    ]
-    trs = make_trs(rules)
+    )
+    trs = Trs(rules)
     assert all(trs.rules[i] is rules[i] for i in range(len(rules)))
     assert {s.name for s in trs.defined()} == {"f", "g"}
     assert {s.name for s in trs.constructors()} == {"nil"}
@@ -167,26 +158,29 @@ def test_make_trs_infers_kinds():
         trs.symbol("missing")
 
 
-def test_make_trs_extra_and_conflicts():
+def test_trs_extra_and_conflicts():
     h = Symbol("h", 1, Kind.DEFINED)
-    trs = make_trs([Rule(App(F, (App(NIL),)), App(NIL))], extra=(h,))
+    trs = Trs((Rule(App(F, (App(NIL),)), App(NIL)),), extra=(h,))
     assert trs.symbol("h").kind is Kind.DEFINED
     assert trs.rules_for(h) == []
-    bad = [
+    bad = (
         Rule(App(F, (App(NIL),)), App(NIL)),
         Rule(App(Symbol("f", 2, Kind.DEFINED), (Var("x"), Var("y"))), Var("x")),
-    ]
+    )
     with pytest.raises(ValueError, match="inconsistent uses"):
-        make_trs(bad)
+        Trs(bad)
+    # an extra symbol that conflicts with a rule's
+    with pytest.raises(ValueError, match="inconsistent uses of symbol nil"):
+        Trs(bad[:1], extra=(Symbol("nil", 0, Kind.DEFINED),))
 
 
 def test_rules_for():
-    rules = [
+    rules = (
         Rule(App(F, (App(NIL),)), App(NIL)),
         Rule(App(G, (Var("x"), Var("y"))), Var("y")),
         Rule(App(F, (Var("x"),)), Var("x")),
-    ]
-    trs = make_trs(rules)
+    )
+    trs = Trs(rules)
     indexed = trs.rules_for(trs.symbol("f"))
     assert [i for i, _ in indexed] == [0, 2]
 
@@ -195,18 +189,18 @@ def test_canonical_rule_and_same_rules():
     a = Rule(App(G, (Var("p"), Var("q"))), Var("q"))
     b = Rule(App(G, (Var("x"), Var("y"))), Var("y"))
     assert canonical_rule(a) == canonical_rule(b)
-    ta = make_trs([a, Rule(App(F, (Var("z"),)), App(NIL))])
-    tb = make_trs([Rule(App(F, (Var("w"),)), App(NIL)), b])
+    ta = Trs((a, Rule(App(F, (Var("z"),)), App(NIL))))
+    tb = Trs((Rule(App(F, (Var("w"),)), App(NIL)), b))
     assert same_rules(ta, tb)
-    tc = make_trs([Rule(App(F, (Var("w"),)), App(NIL))])
+    tc = Trs((Rule(App(F, (Var("w"),)), App(NIL)),))
     assert not same_rules(ta, tc)
 
 
 def test_ground_terms_enumeration():
     # constructors only: every ground term, signature order at each node
-    terms = list(b_safe_terms(Trs((NIL, ZERO, ONE, CONS), ()), 5))
+    terms = list(b_safe_terms(Trs((), (NIL, ZERO, ONE, CONS)), 5))
     assert len(terms) == 66
-    assert [format_term(t) for t in terms[:4]] == ["nil", "0", "1", "cons(nil, nil)"]
+    assert [format_term(t) for t in terms[:4]] == ["0", "1", "nil", "cons(0, 0)"]
     assert all(size(t) <= 5 for t in terms)
     assert len(set(terms)) == len(terms)
 

@@ -167,8 +167,8 @@ def test_verify_bottom_extension_catches_missing_rules():
     fa = parse_term("f(a)", loop)
     assert verify_bottom_extension(loop, extended, [fa]) == []
     pruned = Trs(
-        extended.signature,
         tuple(r for r in extended.rules if str(r) != "a -> bot"),
+        extended.signature,
     )
     # call-by-value is stuck below f again, full rewriting still reaches b
     problems = verify_bottom_extension(loop, pruned, [fa])
