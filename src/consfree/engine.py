@@ -1,9 +1,15 @@
 """Brute-force rewriting: single steps, reachability search, acceptance.
 
 This is the ground-truth oracle the rest of the toolkit is tested against.
-It enumerates reduction graphs exhaustively (breadth-first, with a visited
-set), so it is exponential in general and must be budgeted; results say
-honestly whether the search completed.
+It enumerates reduction graphs exhaustively, so it is exponential in general:
+`reachable_data` searches breadth-first, with a visited set, and is budgeted,
+its result saying honestly whether the search completed; `data_results`
+searches depth-first, unbudgeted, sharing one memo across many starts.
+
+A step never calls `match` or `apply`.  Each rule is compiled once per
+system into head tests, equality tests for a repeated lhs variable, and a
+post-order builder of the rhs; the rules tried at a redex are those that
+`rule_index` fits to its argument heads.
 
 Two strategies: `full` rewrites anywhere; `cbv` (call-by-value) rewrites only
 redexes whose arguments are all data, so a nullary defined symbol is always
@@ -21,12 +27,16 @@ from .terms import (
     App,
     Kind,
     Position,
+    Rule,
     Term,
     Trs,
+    Var,
     apply,
+    head_tests,
     is_data,
     match,
     replace_at,
+    rule_index,
     size,
     subterm_at,
 )
@@ -67,17 +77,68 @@ class ReachabilityResult:
         return "no" if self.complete else "unknown"
 
 
+def _plan(rule: Rule) -> tuple:
+    """A rule compiled for the oracle: (tests, eqs, consts, nodes, top).
+
+    `tests` are the lhs's `head_tests`; `eqs` pairs the registers that hold
+    one repeated lhs variable, which must hold equal terms.  The rest builds
+    the rhs bottom-up over slots: the registers, then `consts` (the rhs's
+    data subterms, shared), then one slot per `nodes` entry, a head and its
+    arguments' slots in post-order.  `top` is the slot of the rhs."""
+    tests, pats = head_tests(rule.lhs)
+    reg: dict[str, int] = {}  # variable name -> its first register
+    eqs = []
+    for r, p in enumerate(pats):
+        if isinstance(p, Var) and reg.setdefault(p.name, r) != r:
+            eqs.append((reg[p.name], r))
+    consts: list[Term] = []
+    nodes: list[tuple] = []
+    slot: dict[int, int] = {}  # id(rhs subterm) -> its slot, ~k for node k
+    todo: list[tuple[Term, bool]] = [(rule.rhs, False)]  # (term, arguments built)
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            nodes.append((u.head, [slot[id(a)] for a in u.args]))
+            slot[id(u)] = ~(len(nodes) - 1)
+        elif id(u) in slot:
+            continue
+        elif isinstance(u, Var):
+            slot[id(u)] = reg[u.name]
+        elif u.is_data:
+            slot[id(u)] = len(pats) + len(consts)
+            consts.append(u)
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    base = len(pats) + len(consts)
+
+    def final(s: int) -> int:
+        return s if s >= 0 else base + ~s
+
+    built = tuple((f, tuple(map(final, args))) for f, args in nodes)
+    return tests, tuple(eqs), tuple(consts), built, final(slot[id(rule.rhs)])
+
+
+def _plans(trs: Trs) -> tuple[tuple, ...]:
+    """Every rule's oracle plan, by rule index, compiled once per system."""
+    plans = trs.memo.get("oracle_plans")
+    if plans is None:
+        plans = trs.memo["oracle_plans"] = tuple(_plan(r) for r in trs.rules)
+    return plans
+
+
 def _rewrites(
     trs: Trs, t: Term, strategy: Strategy
 ) -> Iterator[tuple[Position, int, Term]]:
     """One-step successors as (position, rule index, result), in
     deterministic order: positions pre-order (leftmost-outermost first),
     rules in file order at each position.  One walk with an explicit stack;
-    data subtrees hold no redex and are skipped."""
+    data subtrees hold no redex and are skipped.  A redex tries the rules
+    that `rule_index` fits to its argument heads, each by its plan."""
     if not isinstance(t, App) or t.is_data:
         return
     cbv = strategy == "cbv"
-    by_head = trs.by_head
+    index, plans = rule_index(trs), _plans(trs)
     todo: list[tuple[Position, App]] = [((), t)]
     while todo:
         pos, sub = todo.pop()
@@ -85,10 +146,21 @@ def _rewrites(
         if sub.head.kind is Kind.DEFINED and not (
             cbv and not all(a.is_data for a in args)
         ):
-            for i, rule in by_head.get(sub.head.name, ()):
-                subst = match(rule.lhs, sub)
-                if subst is not None:
-                    yield pos, i, replace_at(t, pos, apply(subst, rule.rhs))
+            for i in index[(sub.head, tuple([a.head for a in args]))]:
+                tests, eqs, consts, nodes, top = plans[i]
+                regs = list(args)
+                for r, f in tests:
+                    u = regs[r]
+                    if u.head is not f:
+                        break
+                    regs += u.args
+                else:
+                    if eqs and not all(regs[a] == regs[b] for a, b in eqs):
+                        continue
+                    regs += consts
+                    for f, slots in nodes:
+                        regs.append(App(f, tuple([regs[s] for s in slots])))
+                    yield pos, i, replace_at(t, pos, regs[top])
         for i in range(len(args), 0, -1):
             a = args[i - 1]
             if not a.is_data and isinstance(a, App):

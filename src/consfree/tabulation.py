@@ -39,9 +39,10 @@ term: cons-freeness makes every constructor-rooted rhs subterm ground data or
 a piece of the lhs (data values are pointers into the input, as in Jones).
 Each rule is compiled once per system, on first use, into a plan kept in
 `Trs.memo`: head tests along child-index paths for the lhs, and a body of
-lhs positions, ground constants and defined nodes for the rhs.  Per run, a B
-item is a head and its children's indices; the start term and `nf`'s term are
-converted to indices once.  `basic_ops` counts the sites a term-walking
+lhs positions, ground constants and defined nodes for the rhs.  A key tries
+the rules that `rule_index`, shared with the oracle, fits to its arguments'
+heads.  Per run, a B item is a head symbol and its children's indices; the
+start term and `nf`'s term are converted to indices once.  `basic_ops` counts the sites a term-walking
 evaluator would, a node shared by identity once, so the counts are the same.
 """
 
@@ -55,7 +56,18 @@ from typing import Callable, Iterator, Literal
 from . import __version__
 from .analysis import BSet, compute_b, is_b_safe, require_cons_free, rhs_data
 from .fmt import encode_input, require_decision_interface
-from .terms import Kind, Rule, Term, Trs, Var, format_term, is_data, size
+from .terms import (
+    Kind,
+    Symbol,
+    Term,
+    Trs,
+    Var,
+    format_term,
+    head_tests,
+    is_data,
+    rule_index,
+    size,
+)
 
 Mode = Literal["dense", "demand"]
 Key = tuple[str, tuple[int, ...]]  # a defined symbol's name and argument B indices
@@ -149,50 +161,44 @@ def _compile(t: Term, leaf: Callable[[Term], int]) -> tuple:
 
 
 class _Plans:
-    """Each rule's plan, compiled on first use: head tests and a body.  A test
-    (r, h) checks that register r holds a B item with head code h and appends
-    the item's children as registers; registers start as the key's arguments.
-    The lhs is linear, so no test compares two registers."""
+    """Each rule's plan, compiled on first use: its lhs's `head_tests` and a
+    body.  On a B item, a test (r, f) checks that register r holds an item
+    headed by f and appends the item's children as registers; registers
+    start as the key's arguments.  The lhs is linear, so no test compares
+    two registers."""
 
     def __init__(self, trs: Trs):
-        self.by_head = trs.by_head
-        self.code = {s: i for i, s in enumerate(trs.signature)}
+        self.rules = trs.rules
+        self.index = rule_index(trs)
+        self.symbol = {s.name: s for s in trs.defined()}
         self.pool = rhs_data(trs)
         self._pool_slot = {t: k for k, t in enumerate(self.pool)}
         self._rules: dict[int, tuple] = {}
         self._candidates: dict[tuple, list[tuple]] = {}
 
-    def candidates(self, name: str, heads: tuple[int, ...]) -> list[tuple]:
-        """Plans of `name`'s rules whose argument roots have these heads;
-        compiled systems carry hundreds of rules, most ruled out here."""
+    def candidates(self, name: str, heads: tuple[Symbol, ...]) -> list[tuple]:
+        """Plans of the rules that `rule_index` fits to `name` applied to
+        items with these heads."""
         hit = self._candidates.get((name, heads))
         if hit is None:
-            hit = self._candidates[(name, heads)] = [
-                self._plan(i, rule)
-                for i, rule in self.by_head.get(name, ())
-                if all(
-                    isinstance(p, Var) or self.code[p.head] == h
-                    for p, h in zip(rule.lhs.args, heads)
-                )
-            ]
+            sym = self.symbol.get(name)
+            hit = self._candidates[(name, heads)] = (
+                [] if sym is None else [self._plan(i) for i in self.index[(sym, heads)]]
+            )
         return hit
 
-    def _plan(self, i: int, rule: Rule) -> tuple:
+    def _plan(self, i: int) -> tuple:
         plan = self._rules.get(i)
         if plan is None:
-            regs = list(rule.lhs.args)
-            tests = []
-            for r, p in enumerate(regs):  # grows as tests add children
-                if not isinstance(p, Var):
-                    tests.append((r, self.code[p.head]))
-                    regs.extend(p.args)
+            rule = self.rules[i]
+            tests, pats = head_tests(rule.lhs)
 
             def leaf(t: Term) -> int:
                 if is_data(t):
                     return ~self._pool_slot[t]
-                return regs.index(t)  # a variable or lhs subterm, unique by linearity
+                return pats.index(t)  # a variable or lhs subterm, unique by linearity
 
-            plan = self._rules[i] = (tuple(tests), _compile(rule.rhs, leaf))
+            plan = self._rules[i] = (tests, _compile(rule.rhs, leaf))
         return plan
 
 
@@ -204,8 +210,8 @@ class _Engine:
         self.b = b
         self.ops = 0
         self.table: dict[Key, int] = {}
-        # each B item as a head code and its children's B indices
-        self.heads = [plans.code.get(t.head, -1) for t in b.items]
+        # each B item as a head symbol and its children's B indices
+        self.heads = [t.head for t in b.items]
         self.kids = [tuple(b.index[a] for a in t.args) for t in b.items]
         self.consts = [b.index.get(t) for t in plans.pool]
         if None in self.consts:
@@ -299,7 +305,7 @@ class _Engine:
             regs = list(combo)
             for r, h in tests:
                 idx = regs[r]
-                if heads[idx] != h:
+                if heads[idx] is not h:
                     break
                 regs += kids[idx]
             else:

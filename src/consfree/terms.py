@@ -61,6 +61,7 @@ _SYMBOLS: dict[tuple[str, int, Kind], Symbol] = {}
 class Var:
     name: str
     is_data: ClassVar[bool] = False
+    head: ClassVar[None] = None  # head tests and index keys read "no head"
 
     def __str__(self) -> str:
         return self.name
@@ -258,11 +259,21 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
 
 
 def apply(subst: Substitution, t: Term) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if t.is_data:  # ground: nothing to substitute
-        return t
-    return App(t.head, tuple([apply(subst, a) for a in t.args]))
+    """t with each variable bound in subst replaced by its image.  Data
+    subterms are returned as they are, not copied; the rest is rebuilt by
+    `build`, so depth meets no recursion limit."""
+    order: list[Symbol | Term] = []
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            order.append(subst.get(u.name, u))
+        elif u.is_data:
+            order.append(u)
+        else:
+            order.append(u.head)
+            todo.extend(reversed(u.args))
+    return build(order)
 
 
 def build(order: Sequence[Symbol | Term | int]) -> Term:
@@ -368,6 +379,55 @@ class Trs:
 
     def rules_for(self, sym: Symbol) -> list[tuple[int, Rule]]:
         return [(i, r) for i, r in self.by_head.get(sym.name, ()) if r.lhs.head is sym]
+
+
+class _RuleIndex(dict):
+    """See `rule_index`: an entry is computed on its first lookup."""
+
+    def __init__(self, trs: Trs):
+        super().__init__()
+        self.by_head = trs.by_head
+
+    def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[int, ...]:
+        head, arg_heads = key
+        hit = self[key] = tuple(
+            i
+            for i, rule in self.by_head.get(head.name, ())
+            if rule.lhs.head is head
+            and all(
+                isinstance(p, Var) or p.head is h for p, h in zip(rule.lhs.args, arg_heads)
+            )
+        )
+        return hit
+
+
+def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[int, ...]]:
+    """The system's argument-head index (after Graf's substitution trees),
+    kept in `trs.memo`.  A key is a head symbol and the head symbols of its
+    arguments' roots (None for a variable); its value holds the indices, in
+    file order, of the head's rules whose lhs argument roots fit: a pattern
+    variable fits anything, a pattern term only that head.  Compiled systems
+    carry hundreds of rules, most ruled out here by one lookup."""
+    index = trs.memo.get("rule_index")
+    if index is None:
+        index = trs.memo["rule_index"] = _RuleIndex(trs)
+    return index
+
+
+def head_tests(lhs: App) -> tuple[tuple[tuple[int, Symbol], ...], list[Term]]:
+    """The argument patterns of `lhs` as head tests along child paths.
+
+    Registers start as the lhs's arguments.  A test (r, f) checks that
+    register r holds a term headed by f and appends that term's arguments as
+    new registers; tests come in register order.  Returns the tests and the
+    lhs subterm each register stands for."""
+    pats = list(lhs.args)
+    tests = []
+    for r, p in enumerate(pats):  # grows as tests add children
+        if isinstance(p, App):
+            tests.append((r, p.head))
+            pats.extend(p.args)
+    return tuple(tests), pats
 
 
 def canonical_rule(rule: Rule) -> Rule:

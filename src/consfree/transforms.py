@@ -15,7 +15,7 @@ bot itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import check_constrained, require_cons_free
 from .engine import Budget, reachable_data
@@ -42,6 +42,9 @@ class CountTable:
     transformed system carries; at least 1 everywhere."""
 
     counts: dict[tuple[str, int], int]
+    _widened: dict[Symbol, tuple] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
 
     def of(self, symbol: str, i: int) -> int:
         return self.counts.get((symbol, i), 1)
@@ -50,6 +53,17 @@ class CountTable:
         if sym.kind is Kind.CONSTRUCTOR:
             return sym.arity
         return sum(self.of(sym.name, i) for i in range(1, sym.arity + 1))
+
+    def widen(self, sym: Symbol) -> tuple[Symbol, tuple[int, ...]]:
+        """A defined symbol's widened symbol and the copy count of each of
+        its arguments, computed once per table."""
+        hit = self._widened.get(sym)
+        if hit is None:
+            hit = self._widened[sym] = (
+                Symbol(sym.name, self.new_arity(sym), sym.kind),
+                tuple(self.of(sym.name, i) for i in range(1, sym.arity + 1)),
+            )
+        return hit
 
 
 def _occurrences(name: str, t: Term) -> int:
@@ -82,23 +96,25 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
 
     Only defined for terms whose constructor-rooted subterms contain no
     defined symbols (below a constructor there is only data to copy).
-    `t` is a term of `trs`.  Each head is widened as it is met; symbols are
-    shared objects, so these are the very symbols of `semi_linearize(trs)`.
-    A repeated argument is one object, built once.
+    `t` is a term of `trs`.  Each head is widened by `counts.widen`; symbols
+    are shared objects, so these are the very symbols of
+    `semi_linearize(trs)`.  Data subterms are kept as they are, and a
+    repeated argument is one object, built once.
     """
     order: list = []  # pre-order for `build`: widened heads, leaves, copy counts
     todo: list = [t]
     while todo:
         u = todo.pop()
-        if isinstance(u, App) and u.head.kind is Kind.DEFINED:
-            head = u.head
-            order.append(Symbol(head.name, counts.new_arity(head), head.kind))
-            for i in range(len(u.args), 0, -1):
-                todo.append(u.args[i - 1])
-                k = counts.of(head.name, i)
+        if isinstance(u, int) or u.is_data:
+            order.append(u)
+        elif isinstance(u, App) and u.head.kind is Kind.DEFINED:
+            head, copies = counts.widen(u.head)
+            order.append(head)
+            for a, k in zip(reversed(u.args), reversed(copies)):
+                todo.append(a)
                 if k > 1:
                     todo.append(k)
-        elif isinstance(u, int) or is_constructor_term(u):
+        elif is_constructor_term(u):
             order.append(u)
         else:
             raise ValueError(

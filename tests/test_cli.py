@@ -108,6 +108,35 @@ def test_decide_deep_rhs_under_default_recursion_limit(capsys, tmp_path, mode):
     assert out.splitlines()[0] == "yes"
 
 
+def test_run_deep_rhs_under_default_recursion_limit(capsys, tmp_path):
+    # the oracle builds a right-hand side nested 2000 deep without recursion,
+    # and the trace replays it through the iterative apply
+    deep = tmp_path / "deep.trs"
+    deep.write_text(f"(VAR x)(RULES f(x) -> {'g(' * 2000}x{')' * 2000} g(x) -> x h -> a)\n")
+    code, out, _ = run(capsys, "run", str(deep), "f(a)", "--max-steps", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["e", "0"], ["e", "1"], ["e", "1"]]
+    assert lines[-1] == f"result: {'g(' * 1998}a{')' * 1998}"
+
+
+@pytest.mark.parametrize("engine", ["oracle-full", "oracle-cbv"])
+def test_decide_oracle_deep_rhs_under_default_recursion_limit(capsys, tmp_path, engine):
+    # the rhs is built without recursion; it is larger than the default size
+    # budget, so the search is cut and the verdict is unknown (exit 3)
+    deep = tmp_path / "deep.trs"
+    deep.write_text(
+        f"(VAR x xs)(RULES start(x) -> f(x) f(x) -> {'g(' * 2000}x{')' * 2000}\n"
+        "  g(x) -> true  g(x) -> x  h(cons(0, xs)) -> false  h(cons(1, nil)) -> false)\n"
+    )
+    code, out, _ = run(capsys, "decide", str(deep), "01", "--engine", engine)
+    assert code == 3
+    assert out.splitlines() == [
+        "unknown",
+        "explored=2 complete=false truncated_by=size_budget",
+    ]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no/such/file.trs")
     assert code == 2

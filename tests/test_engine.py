@@ -19,12 +19,15 @@ from consfree.fmt import encode_input, parse_term, parse_trs
 from consfree.terms import (
     App,
     Kind,
+    apply,
     format_term,
     is_data,
     match,
     positions,
+    replace_at,
     subterm_at,
 )
+from consfree.transforms import bottom_extend, semi_linearize
 
 from conftest import ROOT, load_system
 
@@ -49,8 +52,9 @@ def test_step_cbv_requires_data_arguments():
     assert step_cbv(TINY, parse_term("f(b)", TINY))[0].position == ()
 
 
-def unindexed(trs, t, cbv):
-    # every rule at every pre-order position, in file order
+def reference(trs, t, cbv):
+    # every rule at every pre-order position, in file order, by the generic
+    # match and apply: what the compiled plans and the rule index must equal
     out = []
     for pos in positions(t):
         sub = subterm_at(t, pos)
@@ -58,8 +62,15 @@ def unindexed(trs, t, cbv):
             continue
         if cbv and not all(is_data(a) for a in sub.args):
             continue
-        out += [(pos, i) for i, r in enumerate(trs.rules) if match(r.lhs, sub) is not None]
+        for i, r in enumerate(trs.rules):
+            subst = match(r.lhs, sub)
+            if subst is not None:
+                out.append((pos, i, replace_at(t, pos, apply(subst, r.rhs))))
     return out
+
+
+def steps_of(step, trs, t):
+    return [(s.position, s.rule_index, s.after) for s in step(trs, t)]
 
 
 def test_steps_follow_file_order_with_interleaved_heads():
@@ -72,8 +83,7 @@ def test_steps_follow_file_order_with_interleaved_heads():
     assert len(terms) > 100
     for t in terms:
         for step, cbv in ((step_full, False), (step_cbv, True)):
-            got = [(s.position, s.rule_index) for s in step(trs, t)]
-            assert got == unindexed(trs, t, cbv), format_term(t)
+            assert steps_of(step, trs, t) == reference(trs, t, cbv), format_term(t)
     t = parse_term("g(f(b), a)", trs)
     assert [(s.position, s.rule_index) for s in step_full(trs, t)] == [
         ((), 1), ((1,), 0), ((1,), 2), ((1,), 5), ((2,), 4), ((2,), 7),
@@ -88,12 +98,46 @@ def test_steps_rewrite_below_constructors():
     assert any(t.head.kind is Kind.CONSTRUCTOR and not is_data(t) for t in terms)
     for t in terms:
         for step, cbv in ((step_full, False), (step_cbv, True)):
-            got = [(s.position, s.rule_index) for s in step(trs, t)]
-            assert got == unindexed(trs, t, cbv), format_term(t)
+            assert steps_of(step, trs, t) == reference(trs, t, cbv), format_term(t)
     t = parse_term("pair(f(a), pair(b, a))", trs)
     assert [(s.position, s.rule_index) for s in step_full(trs, t)] == [
         ((1,), 0), ((1, 1), 1), ((1, 1), 2), ((2, 2), 1), ((2, 2), 2),
     ]
+
+
+def test_compiled_oracle_equals_match_and_apply(corpus):
+    # every corpus system, its semi-linearization and that system's bottom
+    # extension, as in criteria 3 and 4
+    checked = 0
+    for name, trs in corpus.items():
+        star = semi_linearize(trs)
+        for system in (trs, star, bottom_extend(star)):
+            for t in b_safe_terms(system, 5):
+                for step, cbv in ((step_full, False), (step_cbv, True)):
+                    want = reference(system, t, cbv)
+                    assert steps_of(step, system, t) == want, f"{name}: {format_term(t)}"
+                    checked += len(want)
+    assert checked > 10_000
+
+
+def test_repeated_lhs_variables_must_bind_equal_terms():
+    # the oracle also runs on systems that are not left-linear
+    trs = parse_trs(
+        "(VAR x)(RULES eq(x, x) -> true eq(s(x), x) -> x eq(x, f(x)) -> x k -> a)"
+    )
+    same = parse_term("eq(s(a), s(a))", trs)
+    assert [s.rule_index for s in step_full(trs, same)] == [0]
+    assert format_term(step_full(trs, same)[0].after) == "true"
+    differ = parse_term("eq(s(a), a)", trs)
+    assert [(s.rule_index, format_term(s.after)) for s in step_full(trs, differ)] == [
+        (1, "a"),
+    ]
+    # the repeated variable's two registers lie at different depths
+    nested = parse_term("eq(a, f(a))", trs)
+    assert [s.rule_index for s in step_full(trs, nested)] == [2]
+    assert step_full(trs, parse_term("eq(a, f(s(a)))", trs)) == []
+    for t in (same, differ, nested):
+        assert steps_of(step_full, trs, t) == reference(trs, t, False)
 
 
 def test_budget_validation():

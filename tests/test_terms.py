@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from consfree.analysis import b_safe_terms
+from consfree.fmt import parse_trs
 from consfree.terms import (
     App,
     Kind,
@@ -14,11 +15,13 @@ from consfree.terms import (
     apply,
     canonical_rule,
     format_term,
+    head_tests,
     is_constructor_term,
     is_data,
     match,
     positions,
     replace_at,
+    rule_index,
     same_rules,
     size,
     subterm_at,
@@ -127,6 +130,18 @@ def test_apply_roundtrip():
     assert apply(subst, pat) == subject
     # unbound variables survive untouched
     assert apply({}, Var("y")) == Var("y")
+    # data is shared, not copied
+    assert apply({"x": subject}, App(F, (Var("x"),))).args[0] is subject
+
+
+def test_apply_and_same_rules_on_a_deep_rhs():
+    # apply is iterative: a right-hand side nested 2000 deep meets no
+    # recursion limit, nor does same_rules, which canonicalizes through it
+    deep = parse_trs(f"(VAR x)(RULES f(x) -> {'g(' * 2000}x{')' * 2000} g(x) -> x)")
+    assert same_rules(deep, deep)
+    rhs = apply({"x": lst(1)}, deep.rules[0].rhs)
+    assert size(rhs) == 2000 + size(lst(1))
+    assert subterm_at(rhs, (1,) * 2000) is not None
 
 
 def test_rule_validation():
@@ -183,6 +198,36 @@ def test_rules_for():
     trs = Trs(rules)
     indexed = trs.rules_for(trs.symbol("f"))
     assert [i for i, _ in indexed] == [0, 2]
+
+
+def test_rule_index_fits_argument_heads():
+    h = Symbol("h", 2, Kind.DEFINED)
+    rules = (
+        Rule(App(h, (App(NIL), Var("x"))), Var("x")),
+        Rule(App(F, (Var("x"),)), Var("x")),
+        Rule(App(h, (Var("x"), App(CONS, (Var("y"), Var("z"))))), Var("y")),
+        Rule(App(h, (Var("x"), Var("y"))), Var("x")),
+        Rule(App(h, (App(CONS, (Var("x"), Var("y"))), App(NIL))), Var("y")),
+    )
+    trs = Trs(rules)
+    index = rule_index(trs)
+    assert rule_index(trs) is index  # memoized per system
+    assert index[(h, (NIL, CONS))] == (0, 2, 3)
+    assert index[(h, (NIL, NIL))] == (0, 3)
+    assert index[(h, (CONS, NIL))] == (3, 4)
+    assert index[(h, (ZERO, ZERO))] == (3,)
+    assert index[(h, (None, CONS))] == (2, 3)  # a variable fits only a variable
+    assert index[(F, (ZERO,))] == (1,)
+    # a symbol of the same name but another arity heads none of the rules
+    assert index[(Symbol("h", 1, Kind.DEFINED), (NIL,))] == ()
+
+
+def test_head_tests_walk_child_paths():
+    lhs = App(G, (App(CONS, (Var("x"), App(CONS, (Var("y"), Var("z"))))), Var("w")))
+    tests, pats = head_tests(lhs)
+    # registers 0, 1 are the arguments; register 0's test adds 2, 3; 3's adds 4, 5
+    assert tests == ((0, CONS), (3, CONS))
+    assert pats == [*lhs.args, Var("x"), lhs.args[0].args[1], Var("y"), Var("z")]
 
 
 def test_canonical_rule_and_same_rules():
