@@ -24,7 +24,7 @@ from .analysis import (
     check_constrained,
     check_semi_linear,
 )
-from .engine import Budget, leftmost_trace, reachable_data
+from .engine import Budget, Oracle, leftmost_trace, reachable_data
 from .fmt import (
     ParseError,
     encode_input,
@@ -173,22 +173,24 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def _verify_stages(orig: Trs, stages, max_size: int) -> bool:
     """Oracle equivalence per transformation stage, on every suitably small
-    ground start term."""
+    ground start term; one oracle per stage, which the next check reuses."""
     terms = list(b_safe_terms(orig, max_size))
     ok = True
-    current = orig
-    current_terms = terms
+    current = Oracle(orig, "full", Budget())
     for name, trs in stages[1:]:
         if name == "semilin":
-            problems = verify_semi_linearization(current, trs, current_terms)
-            counts = compute_counts(current)
-            current_terms = [phi(current, counts, t) for t in current_terms]
+            counts = compute_counts(current.trs)
+            images = [phi(current.trs, counts, t) for t in terms]
+            nxt = Oracle(trs, "full", Budget())
+            problems = verify_semi_linearization(current, nxt, terms, images)
+            terms = images
         else:
-            problems = verify_bottom_extension(current, trs, current_terms)
+            nxt = Oracle(trs, "cbv", Budget())
+            problems = verify_bottom_extension(current, nxt, terms)
         for p in problems:
             print(f"verify[{name}]: {p}", file=sys.stderr)
         ok = ok and not problems
-        current = trs
+        current = nxt
     return ok
 
 

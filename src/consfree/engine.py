@@ -1,10 +1,11 @@
 """Brute-force rewriting: single steps, reachability search, acceptance.
 
 This is the ground-truth oracle the rest of the toolkit is tested against.
-It enumerates reduction graphs exhaustively, so it is exponential in general:
-`reachable_data` searches breadth-first, with a visited set, and is budgeted,
-its result saying honestly whether the search completed; `data_results`
-searches depth-first, unbudgeted, sharing one memo across many starts.
+It enumerates reduction graphs exhaustively, so it is exponential in general.
+There is one search, `Oracle`: depth-first, with one memo for any number of
+starts, and budgeted or not.  `reachable_data` is one budgeted start, its
+result saying honestly whether the search completed; `data_results` is many
+unbudgeted starts.
 
 A step never calls `match` or `apply`.  Each rule is compiled once per
 system into head tests, equality tests for a repeated lhs variable, and a
@@ -18,7 +19,6 @@ an enabled redex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -33,7 +33,6 @@ from .terms import (
     Var,
     apply,
     head_tests,
-    is_data,
     match,
     replace_at,
     rule_index,
@@ -181,126 +180,119 @@ def step_cbv(trs: Trs, t: Term) -> list[ReductionStep]:
     return list(_steps(trs, t, "cbv"))
 
 
-def reachable_data(
-    trs: Trs,
-    start: Term,
-    strategy: Strategy = "full",
-    budget: Budget = Budget(),
-) -> ReachabilityResult:
-    """All data terms reachable from `start` under the strategy.
+class Oracle:
+    """One system's reduction graph under one strategy, searched from any
+    number of starts with one memo of closed terms.  An iterative depth-first
+    search finds its strongly connected components (Tarjan, 1972); every
+    member of a component gets the union of the component's exits: the
+    results of the edges that leave it, or the data terms they reach.
 
-    complete=True means the whole reduction graph fit inside the budgets, so
-    the result set is exact.  Oversized successors are not explored; that
-    only drops completeness, never fabricates results.
-    """
-    seen = {start}
-    queue = deque([start])
-    results: set[Term] = set()
-    truncated: Literal["none", "step_budget", "size_budget"] = "none"
-    explored = 0
-    while queue:
-        term = queue.popleft()
-        explored += 1
-        if is_data(term):
-            results.add(term)
-            continue
-        for _, _, nxt in _rewrites(trs, term, strategy):
-            if nxt in seen:
-                continue
-            if size(nxt) > budget.max_term_size:
-                truncated = "size_budget" if truncated == "none" else truncated
-                continue
-            if len(seen) >= budget.max_terms:
-                truncated = "step_budget" if truncated == "none" else truncated
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return ReachabilityResult(
-        results=frozenset(results),
-        complete=truncated == "none",
-        explored=explored,
-        truncated_by=truncated,
-    )
+    With a budget, each start may add `max_terms` terms, itself and data
+    terms included, and enters no successor larger than `max_term_size`.
+    A dropped successor cuts its term (`cut` says why), and one dropped for
+    the step budget ends its term's successors.  A cut joins like the exits,
+    so a cut term's results are a subset of the exact ones.  Without a
+    budget every reduction graph must be finite."""
 
+    def __init__(
+        self, trs: Trs, strategy: Strategy = "full", budget: Budget | None = None
+    ):
+        self.trs, self.strategy, self.budget = trs, strategy, budget
+        self.memo: dict[Term, frozenset[Term]] = {}
+        self.cut: dict[Term, str] = {}
 
-def data_results(
-    trs: Trs,
-    starts: Iterable[Term],
-    strategy: Strategy = "full",
-) -> dict[Term, frozenset[Term]]:
-    """reachable_data(...).results for many starts, sharing one memo.
+    def search(self, starts: Iterable[Term]) -> Iterator[tuple]:
+        """(start, its data results, the number of terms it added) for each
+        start, in order; a start is complete unless it is in `cut`."""
+        budget, memo, cut = self.budget, self.memo, self.cut
+        interned: dict[frozenset[Term], frozenset[Term]] = {}
+        index: dict[Term, int] = {}  # open terms: their place on `stack`
+        stack: list[Term] = []
 
-    Equal terms across starts are evaluated once, so a whole family of start
-    terms costs one pass over their combined reduction closure instead of one
-    search each.  Every reduction graph involved must be finite (the search
-    runs unbudgeted).
+        def open_(t: Term) -> _Open:
+            index[t] = len(stack)
+            stack.append(t)
+            return _Open(_rewrites(self.trs, t, self.strategy), index[t])
 
-    One iterative depth-first search finds the strongly connected components
-    of the reduction graph (Tarjan, 1972).  A term's result is the union of
-    its successors' results, so every member of a component gets the union
-    of the component's exits: the results of the edges that leave it, or the
-    data terms they reach.
-    """
-    memo: dict[Term, frozenset[Term]] = {}  # terms whose component is closed
-    interned: dict[frozenset[Term], frozenset[Term]] = {}
-    index: dict[Term, int] = {}  # open terms: their place on `stack`
-    stack: list[Term] = []
-
-    def close(t: Term, out: frozenset[Term]) -> frozenset[Term]:
-        out = memo[t] = interned.setdefault(out, out)
-        return out
-
-    def open_(t: Term) -> _Open:
-        index[t] = len(stack)
-        stack.append(t)
-        return _Open(_rewrites(trs, t, strategy), index[t])
-
-    results: dict[Term, frozenset[Term]] = {}
-    for s in starts:
-        if s.is_data:
-            close(s, frozenset((s,)))
-        frames = [] if s in memo else [open_(s)]
-        while frames:
-            top = frames[-1]
-            for _, _, u in top.rewrites:
-                hit = memo.get(u)
-                if hit is None and u.is_data:
-                    hit = close(u, frozenset((u,)))
-                if hit is not None:
-                    top.exits |= hit
-                elif u in index:
-                    top.low = min(top.low, index[u])
+        for s in starts:
+            added = 0 if s in memo else 1
+            if added and s.is_data:
+                memo[s] = frozenset((s,))
+            frames = [] if s in memo else [open_(s)]
+            while frames:
+                top = frames[-1]
+                for _, _, u in top.rewrites:
+                    hit = memo.get(u)
+                    if hit is not None:
+                        top.exits |= hit
+                        if cut and u in cut:
+                            top.cut = top.cut or cut[u]
+                    elif u in index:
+                        top.low = min(top.low, index[u])
+                    elif budget and size(u) > budget.max_term_size:
+                        top.cut = top.cut or "size_budget"
+                    elif budget and added >= budget.max_terms:
+                        top.cut = top.cut or "step_budget"
+                        top.rewrites.close()  # so the loop ends here
+                    else:
+                        added += 1
+                        if not u.is_data:
+                            frames.append(open_(u))
+                            break
+                        top.exits.add(u)
+                        memo[u] = frozenset((u,))
                 else:
-                    frames.append(open_(u))
-                    break
-            else:
-                frames.pop()
-                if top.low == top.place:  # top roots a component
-                    out = frozenset(top.exits)
-                    for u in stack[top.low:]:
-                        del index[u]
-                        out = close(u, out)
-                    del stack[top.low:]
-                    if frames:
-                        frames[-1].exits |= out
-                else:  # the parent is in top's component: hand it top's exits
-                    frames[-1].low = min(frames[-1].low, top.low)
-                    frames[-1].exits |= top.exits
-        results[s] = memo[s]
-    return results
+                    frames.pop()
+                    if top.low == top.place:  # top roots a component
+                        out = frozenset(top.exits)
+                        out = interned.setdefault(out, out)
+                        for u in stack[top.low:]:
+                            del index[u]
+                            memo[u] = out
+                            if top.cut:
+                                cut[u] = top.cut
+                        del stack[top.low:]
+                        if frames:
+                            frames[-1].exits |= out
+                    else:  # the parent is in top's component: hand it top's exits
+                        frames[-1].low = min(frames[-1].low, top.low)
+                        frames[-1].exits |= top.exits
+                    if top.cut and frames:
+                        frames[-1].cut = frames[-1].cut or top.cut
+            yield s, memo[s], added
 
 
 class _Open:
-    """A term on data_results' search path: its successors still to visit,
-    its place on the stack of open terms, the least place it reached, and
-    the results of the exits found so far in its part of the component."""
+    """A term on the search path: its successors left, its place on the
+    stack, the least place it reached, and its part's exits and cut so far."""
 
-    __slots__ = ("rewrites", "place", "low", "exits")
+    __slots__ = ("rewrites", "place", "low", "exits", "cut")
 
     def __init__(self, rewrites: Iterator, place: int):
         self.rewrites = rewrites
         self.place = self.low = place
         self.exits: set[Term] = set()
+        self.cut: str | None = None
+
+
+def reachable_data(
+    trs: Trs, start: Term, strategy: Strategy = "full", budget: Budget = Budget()
+) -> ReachabilityResult:
+    """All data terms reachable from `start` under the strategy, by one
+    budgeted `Oracle` search; complete=True means the result set is exact,
+    and `explored` counts the terms the search added."""
+    oracle = Oracle(trs, strategy, budget)
+    ((_, results, explored),) = oracle.search((start,))
+    why = oracle.cut.get(start, "none")
+    return ReachabilityResult(results, why == "none", explored, why)
+
+
+def data_results(
+    trs: Trs, starts: Iterable[Term], strategy: Strategy = "full"
+) -> dict[Term, frozenset[Term]]:
+    """The exact data results of many starts, by one unbudgeted `Oracle`,
+    so a family of starts costs one pass over their joint closure."""
+    return {s: results for s, results, _ in Oracle(trs, strategy).search(starts)}
 
 
 def accepts(

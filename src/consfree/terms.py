@@ -94,15 +94,26 @@ class App:
         self._hash = hash((head, args))
 
     def __eq__(self, other: object) -> bool:
+        # iterative: two distinct equal terms may nest past the recursion limit
         if self is other:
             return True
         if not isinstance(other, App):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.head is other.head
-            and self.args == other.args
-        )
+        if self._hash != other._hash or self.head is not other.head:
+            return False
+        xs, ys = self.args, other.args
+        todo: list[tuple[tuple, tuple]] = []
+        while True:
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if x.head is not y.head or x.__class__ is Var and x != y:
+                    return False  # variables have no head: compare names
+                if x.__class__ is App and x.args:
+                    todo.append((x.args, y.args))
+            if not todo:
+                return True
+            xs, ys = todo.pop()
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import check_constrained, require_cons_free
-from .engine import Budget, reachable_data
+from .engine import Oracle
 from .fmt import has_decision_interface
 from .terms import (
     App,
@@ -225,40 +225,35 @@ def bottom_extend(trs: Trs) -> Trs:
 
 
 def verify_semi_linearization(
-    orig: Trs, transformed: Trs, terms: list[Term], budget: Budget = Budget()
+    orig: Oracle, star: Oracle, terms: list[Term], images: list[Term]
 ) -> list[str]:
-    """Oracle check: same reachable data from s and from phi(s)."""
-    counts = compute_counts(orig)
-    problems = []
-    for s in terms:
-        before = reachable_data(orig, s, "full", budget)
-        after = reachable_data(transformed, phi(orig, counts, s), "full", budget)
-        if not (before.complete and after.complete):
-            problems.append(f"{format_term(s)}: oracle budget exhausted")
-        elif before.results != after.results:
-            problems.append(
-                f"{format_term(s)}: {_render(before.results)} != "
-                f"{_render(after.results)}"
-            )
-    return problems
+    """Oracle check under full rewriting: each of `terms` reaches the same
+    data in `orig` as its image under phi, in `images`, in `star`."""
+    return _compare(orig, star, terms, images, frozenset())
 
 
 def verify_bottom_extension(
-    orig: Trs, extended: Trs, terms: list[Term], budget: Budget = Budget()
+    orig: Oracle, extended: Oracle, terms: list[Term]
 ) -> list[str]:
-    """Oracle check: call-by-value results of the extension, minus bot, match
-    the original's full-rewriting results."""
-    bot = App(extended.symbol("bot"))
+    """Oracle check: call-by-value results in `extended`, minus bot, match
+    the full-rewriting results in `orig`."""
+    bot = App(extended.trs.symbol("bot"))
+    return _compare(orig, extended, terms, terms, frozenset((bot,)))
+
+
+def _compare(
+    before: Oracle, after: Oracle, terms: list, images: list, drop: frozenset
+) -> list[str]:
+    """A problem for each term whose results in `before` differ from its
+    image's in `after` without the `drop` terms, or whose search was cut."""
     problems = []
-    for s in terms:
-        full = reachable_data(orig, s, "full", budget)
-        cbv = reachable_data(extended, s, "cbv", budget)
-        if not (full.complete and cbv.complete):
+    pairs = zip(before.search(terms), after.search(images))
+    for (s, want, _), (image, got, _) in pairs:
+        if s in before.cut or image in after.cut:
             problems.append(f"{format_term(s)}: oracle budget exhausted")
-        elif full.results != cbv.results - {bot}:
+        elif want != got - drop:
             problems.append(
-                f"{format_term(s)}: {_render(full.results)} != "
-                f"{_render(cbv.results - {bot})}"
+                f"{format_term(s)}: {_render(want)} != {_render(got - drop)}"
             )
     return problems
 

@@ -137,6 +137,21 @@ def test_decide_oracle_deep_rhs_under_default_recursion_limit(capsys, tmp_path, 
     ]
 
 
+def test_decide_oracle_admits_deep_terms_within_a_step_budget(capsys, tmp_path):
+    # the size budget lets the 2000-deep terms in; rewriting g(x) -> x at
+    # different depths builds distinct equal terms, which == compares without
+    # recursion, and the step budget ends the search after true is reached
+    deep = tmp_path / "deep.trs"
+    deep.write_text(
+        f"(VAR x xs)(RULES start(x) -> f(x) f(x) -> {'g(' * 2000}x{')' * 2000}\n"
+        "  g(x) -> true  g(x) -> x  h(cons(0, xs)) -> false  h(cons(1, nil)) -> false)\n"
+    )
+    code, out, _ = run(capsys, "decide", str(deep), "01", "--engine", "oracle-full",
+                       "--max-term-size", "5000", "--max-terms", "50")
+    assert code == 0
+    assert out.splitlines()[0] == "yes"
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no/such/file.trs")
     assert code == 2

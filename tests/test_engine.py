@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
 from consfree.analysis import b_safe_terms, compute_b, is_b_safe
 from consfree.engine import (
     Budget,
+    Oracle,
     Trace,
     accepts,
     data_results,
@@ -188,6 +190,20 @@ def test_nondeterministic_results():
     assert {format_term(t) for t in r.results} == {"true", "false"}
 
 
+def reachable_by_bfs(trs, start, strategy="full"):
+    # the reference the memoized depth-first search must equal: breadth-first
+    # from one start, unbudgeted, with a visited set and no memo
+    step = step_full if strategy == "full" else step_cbv
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for s in step(trs, queue.popleft()):
+            if s.after not in seen:
+                seen.add(s.after)
+                queue.append(s.after)
+    return frozenset(t for t in seen if is_data(t))
+
+
 def test_data_results_matches_single_searches():
     for name in ("membership", "any0", "dup_first"):
         trs = load_system(name)
@@ -196,7 +212,9 @@ def test_data_results_matches_single_searches():
         for s in starts[:40]:
             single = reachable_data(trs, s, "full")
             assert single.complete
-            assert batch[s] == single.results, f"{name}: {format_term(s)}"
+            assert batch[s] == single.results == reachable_by_bfs(trs, s), (
+                f"{name}: {format_term(s)}"
+            )
 
 
 def test_data_results_handles_cycles():
@@ -222,18 +240,65 @@ def test_data_results_equals_reachable_data_on_cyclic_graphs():
     for trs, max_size in ((load_system("loop42"), 7), (CYCLE, 4)):
         starts = list(b_safe_terms(trs, max_size))
         assert len(starts) >= 14
-        singles = [reachable_data(trs, s, "full") for s in starts]
-        assert all(r.complete for r in singles)
+        singles = [reachable_by_bfs(trs, s) for s in starts]
         # the search order depends on the order of the starts
         for order in (starts, starts[::-1]):
             batch = data_results(trs, order)
             for s, single in zip(starts, singles):
-                assert batch[s] == single.results, format_term(s)
+                assert batch[s] == single, format_term(s)
     starts = [parse_term(s, CYCLE) for s in ("k(a)", "h(a)", "g(a)", "f(a)")]
     out = data_results(CYCLE, starts)
     assert [sorted(map(format_term, out[s])) for s in starts] == [
         ["a", "b", "c"], ["a", "b"], ["a", "b"], ["a", "b"],
     ]
+
+
+BUDGETS = [Budget(n, size) for n in (1, 2, 5, 20) for size in (3, 5)]
+
+
+def test_cut_searches_only_drop_results(corpus):
+    # the budget contract on every small start that is not data: a cut search
+    # reaches a subset of the exact results, a complete one all of them, and
+    # it says which it is
+    cut = 0
+    for name, trs in corpus.items():
+        starts = [s for s in b_safe_terms(trs, 5) if not is_data(s)]
+        for strategy in ("full", "cbv"):
+            for s in starts:
+                want = reachable_by_bfs(trs, s, strategy)
+                for budget in BUDGETS:
+                    r = reachable_data(trs, s, strategy, budget)
+                    where = (name, strategy, format_term(s), budget)
+                    assert r.results <= want, where
+                    assert r.results == want or not r.complete, where
+                    assert (r.truncated_by != "none") == (not r.complete), where
+                    cut += not r.complete
+    assert cut > 1000
+
+
+def test_a_cut_reaches_the_terms_above_it():
+    # only c drops a successor, to the size or the step budget; p reaches c,
+    # so p is cut too
+    trs = parse_trs("(VAR x y z)(RULES p -> c c -> g(a, a, a) g(x, y, z) -> b)")
+    p = parse_term("p", trs)
+    for budget, why in ((Budget(100, 3), "size_budget"), (Budget(2), "step_budget")):
+        r = reachable_data(trs, p, "full", budget)
+        assert (r.results, r.complete, r.truncated_by) == (frozenset(), False, why)
+    assert {format_term(t) for t in reachable_data(trs, p).results} == {"b"}
+
+
+def test_a_cut_reaches_every_later_start_through_the_memo():
+    # f(a) runs out of its two terms inside the f, g, h component; k(a)
+    # later reaches that component through the shared memo
+    oracle = Oracle(CYCLE, "full", Budget(max_terms=2))
+    starts = [parse_term(s, CYCLE) for s in ("f(a)", "k(a)")]
+    (first, first_results, _), (later, later_results, added) = oracle.search(starts)
+    assert oracle.cut[first] == oracle.cut[later] == "step_budget"
+    assert first_results == frozenset()
+    assert later_results <= reachable_by_bfs(CYCLE, later) and added <= 2
+    # each search on its own: the later start alone is complete
+    assert not reachable_data(CYCLE, first, "full", Budget(max_terms=2)).complete
+    assert reachable_data(CYCLE, later).complete
 
 
 def test_data_results_follows_long_chains_under_default_recursion_limit():

@@ -1,5 +1,8 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,8 @@ from consfree.terms import (
     subterms,
     variables,
 )
+
+from conftest import ROOT
 
 NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
 ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
@@ -142,6 +147,30 @@ def test_apply_and_same_rules_on_a_deep_rhs():
     rhs = apply({"x": lst(1)}, deep.rules[0].rhs)
     assert size(rhs) == 2000 + size(lst(1))
     assert subterm_at(rhs, (1,) * 2000) is not None
+
+
+def test_equality_of_deep_terms_under_default_recursion_limit():
+    # its own process, so it runs under the interpreter's default limit; the
+    # terms are built apart, so == cannot stop at a shared subterm
+    code = (
+        "from consfree.terms import App, Kind, Symbol, Var\n"
+        "g = Symbol('g', 1, Kind.DEFINED)\n"
+        "def deep(leaf):\n"
+        "    for _ in range(2000):\n"
+        "        leaf = App(g, (leaf,))\n"
+        "    return leaf\n"
+        "a, b = deep(Var('x')), deep(Var('x'))\n"
+        "print(a is b, a == b, a != b, a == deep(Var('y')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True False False\n"
 
 
 def test_rule_validation():

@@ -6,6 +6,7 @@ from consfree.analysis import (
     check_cons_free,
     check_semi_linear,
 )
+from consfree.engine import Budget, Oracle
 from consfree.fmt import parse_term, parse_trs, print_trs
 from consfree.terms import App, Trs, Var, format_term
 from consfree.transforms import (
@@ -135,20 +136,31 @@ def test_bottom_extend():
         bottom_extend(out)
 
 
+def full(trs):
+    return Oracle(trs, "full", Budget())
+
+
+def cbv(trs):
+    return Oracle(trs, "cbv", Budget())
+
+
 def test_verify_semi_linearization_passes():
     trs = load_system("dup_first")
     out = semi_linearize(trs)
     terms = list(b_safe_terms(trs, 4))
-    assert verify_semi_linearization(trs, out, terms) == []
+    images = [phi(trs, compute_counts(trs), t) for t in terms]
+    assert verify_semi_linearization(full(trs), full(out), terms, images) == []
 
 
 def test_verify_semi_linearization_catches_wrong_transform():
     trs = parse_trs("(VAR x y)(RULES f(x) -> g(x, x) g(x, y) -> x h(nil) -> nil)")
     fnil = parse_term("f(nil)", trs)
-    assert verify_semi_linearization(trs, semi_linearize(trs), [fnil]) == []
+    image = phi(trs, compute_counts(trs), fnil)
+    star = semi_linearize(trs)
+    assert verify_semi_linearization(full(trs), full(star), [fnil], [image]) == []
     # handing back the untransformed system: phi widens the call into an
     # arity no rule matches, so the oracle sets differ
-    problems = verify_semi_linearization(trs, trs, [fnil])
+    problems = verify_semi_linearization(full(trs), full(trs), [fnil], [image])
     assert len(problems) == 1
     assert "f(nil)" in problems[0]
 
@@ -157,7 +169,7 @@ def test_verify_bottom_extension_passes():
     trs = load_system("membership")
     out = bottom_extend(trs)
     terms = list(b_safe_terms(trs, 4))
-    assert verify_bottom_extension(trs, out, terms) == []
+    assert verify_bottom_extension(full(trs), cbv(out), terms) == []
 
 
 def test_verify_bottom_extension_catches_missing_rules():
@@ -165,12 +177,12 @@ def test_verify_bottom_extension_catches_missing_rules():
     loop = load_system("loop42")
     extended = bottom_extend(loop)
     fa = parse_term("f(a)", loop)
-    assert verify_bottom_extension(loop, extended, [fa]) == []
+    assert verify_bottom_extension(full(loop), cbv(extended), [fa]) == []
     pruned = Trs(
         tuple(r for r in extended.rules if str(r) != "a -> bot"),
         extended.signature,
     )
     # call-by-value is stuck below f again, full rewriting still reaches b
-    problems = verify_bottom_extension(loop, pruned, [fa])
+    problems = verify_bottom_extension(full(loop), cbv(pruned), [fa])
     assert len(problems) == 1
     assert "f(a)" in problems[0]
