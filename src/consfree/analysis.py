@@ -12,6 +12,7 @@ set (`BSet`) is what makes the tabulation procedure polynomial.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -69,11 +70,7 @@ def _violations(trs: Trs) -> list[Violation]:
     out: list[Violation] = []
     for i, rule in enumerate(trs.rules):
         lhs = rule.lhs
-        assert isinstance(lhs, App)
-        counts: dict[str, int] = {}
-        for t in subterms(lhs):
-            if isinstance(t, Var):
-                counts[t.name] = counts.get(t.name, 0) + 1
+        counts = Counter(t.name for t in subterms(lhs) if isinstance(t, Var))
         for name, n in sorted(counts.items()):
             if n > 1:
                 out.append(Violation(i, 1, Var(name)))
@@ -97,21 +94,15 @@ def require_cons_free(trs: Trs) -> None:
         )
 
 
-def dv(lhs: Term) -> set[str]:
+def dv(lhs: App) -> set[str]:
     """Direct argument positions of the lhs that are bare variables."""
-    if isinstance(lhs, Var):
-        raise ValueError("malformed left-hand side: bare variable")
     return {a.name for a in lhs.args if isinstance(a, Var)}
 
 
 def check_semi_linear(rule: Rule) -> bool:
     """Each direct lhs variable occurs at most once in the rhs."""
-    direct = dv(rule.lhs)
-    counts: dict[str, int] = {}
-    for t in subterms(rule.rhs):
-        if isinstance(t, Var) and t.name in direct:
-            counts[t.name] = counts.get(t.name, 0) + 1
-    return all(n <= 1 for n in counts.values())
+    uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
+    return all(uses[x] <= 1 for x in dv(rule.lhs))
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,6 @@ def check_constrained(trs: Trs) -> ConstrainedWitness:
         # cons-freeness already excludes constructors above lhs variables
         assert sym.kind is Kind.DEFINED, f"constructor {sym.name} forced into A"
     for i, rule in enumerate(trs.rules):
-        assert isinstance(rule.lhs, App)
         if rule.lhs.head in forced and not check_semi_linear(rule):
             raise NotConstrainedError(
                 f"rule {i} ({rule}) is headed by {rule.lhs.head.name}, which the "
@@ -170,7 +160,6 @@ def verify_constrained_witness(trs: Trs, witness: ConstrainedWitness) -> bool:
     and every rhs subterm strictly containing a direct lhs variable has its
     root in the witness."""
     for rule in trs.rules:
-        assert isinstance(rule.lhs, App)
         if rule.lhs.head in witness.a_set and not check_semi_linear(rule):
             return False
         direct = dv(rule.lhs)
@@ -252,11 +241,9 @@ def b_safe_terms(trs: Trs, max_size: int) -> Iterator[Term]:
 
     Deterministic order: by size, then signature order at each node.
     """
-    cons = [s for s in trs.signature if s.kind is Kind.CONSTRUCTOR]
-    defs = [s for s in trs.signature if s.kind is Kind.DEFINED]
     by_sz: list[list[Term]] = [[] for _ in range(max_size + 1)]
     for sz in range(1, max_size + 1):
-        for sym in cons + defs:
+        for sym in trs.constructors() + trs.defined():
             if sym.arity == 0:
                 if sz == 1:
                     by_sz[1].append(App(sym))
@@ -275,9 +262,8 @@ def b_safe_terms(trs: Trs, max_size: int) -> Iterator[Term]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    """Each way to write `total` as `parts` positive summands, by its cut
+    points, in lexicographic order."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

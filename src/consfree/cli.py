@@ -14,6 +14,7 @@ import json
 import math
 import statistics
 import sys
+from typing import Callable
 
 from . import __version__
 from .analysis import (
@@ -49,6 +50,18 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int of at least `low`; anything else exits 2."""
+
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return count
+
 
 def _load_trs(path: str) -> Trs:
     with open(path, encoding="utf-8") as fh:
@@ -305,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("term")
     p.add_argument("--strategy", choices=("full", "cbv"), default="full")
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--max-steps", type=_at_least(0), default=100)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("transform", help="semi-linearize / bottom-extend")
@@ -318,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--verify",
-        type=int,
+        type=_at_least(1),
         metavar="N",
         help="check oracle equivalence on all start terms up to N nodes",
     )
@@ -334,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the system here, not stdout")
     p.add_argument(
         "--selftest",
-        type=int,
+        type=_at_least(0),
         metavar="L",
         help="compare against direct simulation on all inputs up to length L",
     )

@@ -9,8 +9,8 @@ unbudgeted starts.
 
 A step never calls `match` or `apply`.  Each rule is compiled once per
 system into head tests, equality tests for a repeated lhs variable, and a
-post-order builder of the rhs; the rules tried at a redex are those that
-`rule_index` fits to its argument heads.
+post-order builder of the rhs (`compile_rhs`, shared with the table); the
+rules tried at a redex are those that `rule_index` fits to its argument heads.
 
 Two strategies: `full` rewrites anywhere; `cbv` (call-by-value) rewrites only
 redexes whose arguments are all data, so a nullary defined symbol is always
@@ -32,6 +32,7 @@ from .terms import (
     Trs,
     Var,
     apply,
+    compile_rhs,
     head_tests,
     match,
     replace_at,
@@ -91,31 +92,23 @@ def _plan(rule: Rule) -> tuple:
         if isinstance(p, Var) and reg.setdefault(p.name, r) != r:
             eqs.append((reg[p.name], r))
     consts: list[Term] = []
-    nodes: list[tuple] = []
-    slot: dict[int, int] = {}  # id(rhs subterm) -> its slot, ~k for node k
-    todo: list[tuple[Term, bool]] = [(rule.rhs, False)]  # (term, arguments built)
-    while todo:
-        u, ready = todo.pop()
-        if ready:
-            nodes.append((u.head, [slot[id(a)] for a in u.args]))
-            slot[id(u)] = ~(len(nodes) - 1)
-        elif id(u) in slot:
-            continue
-        elif isinstance(u, Var):
-            slot[id(u)] = reg[u.name]
-        elif u.is_data:
-            slot[id(u)] = len(pats) + len(consts)
+
+    def leaf(u: Term) -> int | None:
+        if isinstance(u, Var):
+            return reg[u.name]
+        if u.is_data:
             consts.append(u)
-        else:
-            todo.append((u, True))
-            todo.extend((a, False) for a in reversed(u.args))
+            return len(pats) + len(consts) - 1
+        return None  # a node to build
+
+    nodes, top = compile_rhs(rule.rhs, leaf)
     base = len(pats) + len(consts)
 
     def final(s: int) -> int:
         return s if s >= 0 else base + ~s
 
     built = tuple((f, tuple(map(final, args))) for f, args in nodes)
-    return tests, tuple(eqs), tuple(consts), built, final(slot[id(rule.rhs)])
+    return tests, tuple(eqs), tuple(consts), built, final(top)
 
 
 def _plans(trs: Trs) -> tuple[tuple, ...]:

@@ -39,7 +39,8 @@ term: cons-freeness makes every constructor-rooted rhs subterm ground data or
 a piece of the lhs (data values are pointers into the input, as in Jones).
 Each rule is compiled once per system, on first use, into a plan kept in
 `Trs.memo`: head tests along child-index paths for the lhs, and a body of
-lhs positions, ground constants and defined nodes for the rhs.  A key tries
+lhs positions, ground constants and defined nodes for the rhs, by the
+oracle's `compile_rhs` walk.  A key tries
 the rules that `rule_index`, shared with the oracle, fits to its arguments'
 heads.  Per run, a B item is a head symbol and its children's indices; the
 start term and `nf`'s term are converted to indices once.  `basic_ops` counts the sites a term-walking
@@ -62,6 +63,7 @@ from .terms import (
     Term,
     Trs,
     Var,
+    compile_rhs,
     format_term,
     head_tests,
     is_data,
@@ -133,30 +135,23 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _compile(t: Term, leaf: Callable[[Term], int]) -> tuple:
-    """Body (leaves, nodes) of t.  `leaf` gives each variable or
-    constructor-rooted subterm as a register (>= 0) or a ground constant ~k,
-    k its place in the rhs data pool.  `nodes` are the defined nodes in
-    post-order, a name and operand slots each; slots number the leaves, then
-    the nodes.  A node occurring twice by identity is compiled once."""
+    """Body (leaves, nodes) of t, by `compile_rhs`.  `leaf` gives each
+    variable or constructor-rooted subterm as a register (>= 0) or a ground
+    constant ~k, k its place in the rhs data pool.  `nodes` are the defined
+    nodes in post-order, a name and operand slots each; slots number the
+    leaves, then the nodes."""
     leaves: list[int] = []
-    nodes: list[tuple[str, list[int]]] = []
-    ref: dict[int, int] = {}  # id(u) -> leaf slot, or ~node
-    todo: list[tuple[Term, bool]] = [(t, False)]  # (node, arguments compiled)
-    while todo:
-        u, ready = todo.pop()
-        if ready:
-            nodes.append((u.head.name, [ref[id(a)] for a in u.args]))
-            ref[id(u)] = ~(len(nodes) - 1)
-        elif id(u) not in ref:
-            if isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR:
-                leaves.append(leaf(u))
-                ref[id(u)] = len(leaves) - 1
-            else:
-                todo.append((u, True))
-                todo.extend((a, False) for a in reversed(u.args))
+
+    def slot(u: Term) -> int | None:
+        if isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR:
+            leaves.append(leaf(u))
+            return len(leaves) - 1
+        return None  # a defined node
+
+    nodes, _ = compile_rhs(t, slot)
     n = len(leaves)
     return tuple(leaves), tuple(
-        (name, tuple(s if s >= 0 else n + ~s for s in args)) for name, args in nodes
+        (f.name, tuple(s if s >= 0 else n + ~s for s in args)) for f, args in nodes
     )
 
 
@@ -231,7 +226,13 @@ class _Engine:
         return _compile(t, leaf), regs
 
     def _values(self, body: tuple, regs: list[int]) -> int:
-        """Bitmask of possible values of `body` against the current table."""
+        """Bitmask of possible values of `body` against the current table.
+
+        Dense mode and `nf` keep this evaluator beside demand mode's
+        `_evaluate` on purpose: driving `_evaluate` with every key `done`
+        keeps every count, but it made dense decides 10-30 % slower
+        (membership at n=32 went from 15.7-16.4 to 19.1-20.3 ms, min of 5),
+        and `corpus_dense` runs this path."""
         leaves, nodes = body
         consts = self.consts
         vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]

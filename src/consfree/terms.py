@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 
 class Kind(Enum):
@@ -325,7 +325,7 @@ class Trs:
     `extra` (a defined symbol may have no rules), sorted by name.  Kinds are
     taken as given.  Raises ValueError when one name stands for two symbols.
 
-    `by_head` maps each head name to its `(index, rule)` pairs in file order.
+    `by_head` maps each head symbol to its `(index, rule)` pairs in file order.
     `memo` holds facts other modules compute once per system because they do
     not depend on the input (the cons-free verdict, the right-hand-side data
     pool, ...).  Both live and die with this object and take no part in
@@ -335,14 +335,14 @@ class Trs:
     rules: tuple[Rule, ...]
     extra: InitVar[tuple[Symbol, ...]] = ()
     signature: tuple[Symbol, ...] = field(init=False)
-    by_head: dict[str, tuple[tuple[int, Rule], ...]] = field(
+    by_head: dict[Symbol, tuple[tuple[int, Rule], ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
     memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self, extra: tuple[Symbol, ...]) -> None:
         seen: dict[str, Symbol] = {}
-        by_head: dict[str, list[tuple[int, Rule]]] = {}
+        by_head: dict[Symbol, list[tuple[int, Rule]]] = {}
         for i, rule in enumerate(self.rules):
             lhs = rule.lhs
             if isinstance(lhs, Var):
@@ -369,12 +369,12 @@ class Trs:
                     f"rule {i} uses variables not bound on its left-hand side: "
                     f"{', '.join(sorted(loose))}"
                 )
-            by_head.setdefault(lhs.head.name, []).append((i, rule))
+            by_head.setdefault(lhs.head, []).append((i, rule))
         for s in extra:
             if seen.setdefault(s.name, s) is not s:
                 raise ValueError(f"inconsistent uses of symbol {s.name}")
         object.__setattr__(self, "signature", tuple(seen[n] for n in sorted(seen)))
-        self.by_head.update({name: tuple(pairs) for name, pairs in by_head.items()})
+        self.by_head.update({head: tuple(pairs) for head, pairs in by_head.items()})
 
     def symbol(self, name: str) -> Symbol:
         for s in self.signature:
@@ -388,9 +388,6 @@ class Trs:
     def constructors(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.signature if s.kind is Kind.CONSTRUCTOR)
 
-    def rules_for(self, sym: Symbol) -> list[tuple[int, Rule]]:
-        return [(i, r) for i, r in self.by_head.get(sym.name, ()) if r.lhs.head is sym]
-
 
 class _RuleIndex(dict):
     """See `rule_index`: an entry is computed on its first lookup."""
@@ -403,9 +400,8 @@ class _RuleIndex(dict):
         head, arg_heads = key
         hit = self[key] = tuple(
             i
-            for i, rule in self.by_head.get(head.name, ())
-            if rule.lhs.head is head
-            and all(
+            for i, rule in self.by_head.get(head, ())
+            if all(
                 isinstance(p, Var) or p.head is h for p, h in zip(rule.lhs.args, arg_heads)
             )
         )
@@ -439,6 +435,32 @@ def head_tests(lhs: App) -> tuple[tuple[tuple[int, Symbol], ...], list[Term]]:
             tests.append((r, p.head))
             pats.extend(p.args)
     return tuple(tests), pats
+
+
+def compile_rhs(t: Term, leaf: Callable[[Term], Optional[int]]) -> tuple[list, int]:
+    """`t` compiled for building bottom-up, by one iterative post-order walk.
+
+    `leaf(u)` gives a subterm's slot (>= 0), or None for a node to build from
+    its arguments; it is called once per distinct object, in pre-order, so a
+    subterm shared by identity is compiled once.  Returns the nodes in
+    post-order, a head and its arguments' slots each, and the slot of `t`;
+    node k is slot ~k."""
+    nodes: list[tuple[Symbol, tuple[int, ...]]] = []
+    slot: dict[int, int] = {}  # id(subterm) -> its slot
+    todo: list[tuple[Term, bool]] = [(t, False)]  # (term, arguments compiled)
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            nodes.append((u.head, tuple([slot[id(a)] for a in u.args])))
+            slot[id(u)] = ~(len(nodes) - 1)
+        elif id(u) not in slot:
+            s = leaf(u)
+            if s is None:
+                todo.append((u, True))
+                todo.extend((a, False) for a in reversed(u.args))
+            else:
+                slot[id(u)] = s
+    return nodes, slot[id(t)]
 
 
 def canonical_rule(rule: Rule) -> Rule:

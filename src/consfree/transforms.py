@@ -15,6 +15,7 @@ bot itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .analysis import check_constrained, require_cons_free
@@ -66,29 +67,17 @@ class CountTable:
         return hit
 
 
-def _occurrences(name: str, t: Term) -> int:
-    return sum(1 for s in subterms(t) if isinstance(s, Var) and s.name == name)
-
-
 def compute_counts(trs: Trs) -> CountTable:
+    """Copies of each defined argument, in one pass over the rules: the most
+    right-hand-side uses of it by one rule where it is a bare variable."""
     counts: dict[tuple[str, int], int] = {}
-    for sym in trs.defined():
-        for i in range(1, sym.arity + 1):
-            need = 1
-            for _, rule in trs.rules_for(sym):
-                arg = rule.lhs.args[i - 1]
-                if isinstance(arg, Var):
-                    need = max(need, _occurrences(arg.name, rule.rhs))
-            counts[(sym.name, i)] = need
+    for rule in trs.rules:
+        uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
+        name = rule.lhs.head.name
+        for i, arg in enumerate(rule.lhs.args, start=1):
+            need = uses[arg.name] if isinstance(arg, Var) else 1
+            counts[(name, i)] = max(counts.get((name, i), 1), need)
     return CountTable(counts)
-
-
-def signature_map(trs: Trs, counts: CountTable) -> dict[str, Symbol]:
-    """Transformed signature: defined arities widen to the copy counts,
-    constructors are untouched."""
-    return {
-        s.name: Symbol(s.name, counts.new_arity(s), s.kind) for s in trs.signature
-    }
 
 
 def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
@@ -100,6 +89,10 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
     are shared objects, so these are the very symbols of
     `semi_linearize(trs)`.  Data subterms are kept as they are, and a
     repeated argument is one object, built once.
+
+    `trs` is not read: `counts` alone widens each head.  The parameter stays
+    because the benchmark (`perfbench/`) calls `phi` with three positional
+    arguments, and dropping it means changing that call in the same change.
     """
     order: list = []  # pre-order for `build`: widened heads, leaves, copy counts
     todo: list = [t]
@@ -152,17 +145,15 @@ def semi_linearize(trs: Trs) -> Trs:
     """
     check_constrained(trs)
     counts = compute_counts(trs)
-    sigmap = signature_map(trs, counts)
-    names = set(sigmap)
+    names = {s.name for s in trs.signature}
     new_rules: list[Rule] = []
     for rule in trs.rules:
         lhs = rule.lhs
-        assert isinstance(lhs, App)
         used = variables(lhs) | variables(rule.rhs) | names
+        head, widths = counts.widen(lhs.head)
         new_args: list[Term] = []
         copies: dict[str, list[str]] = {}
-        for i, arg in enumerate(lhs.args, start=1):
-            k = counts.of(lhs.head.name, i)
+        for i, (arg, k) in enumerate(zip(lhs.args, widths), start=1):
             new_args.append(arg)
             base = arg.name if isinstance(arg, Var) else f"x{i}"
             extras = [_fresh(f"{base}__{j}", used) for j in range(2, k + 1)]
@@ -185,9 +176,10 @@ def semi_linearize(trs: Trs) -> Trs:
             else:
                 order.append(u)
 
-        new_lhs = App(sigmap[lhs.head.name], tuple(new_args))
+        new_lhs = App(head, tuple(new_args))
         new_rules.append(Rule(new_lhs, phi(trs, counts, build(order))))
 
+    extra = [counts.widen(s)[0] for s in trs.defined() if s not in trs.by_head]
     if has_decision_interface(trs):
         wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
         start = trs.symbol("start")
@@ -199,16 +191,8 @@ def semi_linearize(trs: Trs) -> Trs:
                     phi(trs, counts, App(start, (pattern,))),
                 )
             )
-        extra_syms = (wrapper,)
-    else:
-        extra_syms = ()
-
-    extra = tuple(
-        sigmap[s.name]
-        for s in trs.signature
-        if s.kind is Kind.DEFINED and not trs.rules_for(s)
-    )
-    return Trs(tuple(new_rules), extra + extra_syms)
+        extra.append(wrapper)
+    return Trs(tuple(new_rules), tuple(extra))
 
 
 def bottom_extend(trs: Trs) -> Trs:

@@ -15,7 +15,7 @@ from consfree.analysis import (
     verify_constrained_witness,
 )
 from consfree.fmt import encode_input, parse_term, parse_trs
-from consfree.terms import App, Var, format_term, is_data, size
+from consfree.terms import App, format_term, is_data, size
 
 from conftest import CORPUS_NAMES, load_system
 
@@ -97,8 +97,6 @@ def test_dv_and_semi_linear():
     # y is a direct variable used twice; x, xs sit under a pattern and are exempt
     assert not check_semi_linear(trs.rules[0])
     assert check_semi_linear(trs.rules[1])
-    with pytest.raises(ValueError):
-        dv(Var("x"))
 
 
 def test_pattern_components_do_not_count():

@@ -359,6 +359,23 @@ def test_compile_tm_output_file_and_manifest(capsys, tmp_path):
     assert "st\tstate lookup" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv, option, low",
+    [
+        (["transform", MEM, "--pass", "both", "--verify", "0"], "--verify", 1),
+        (["compile-tm", PARITY, "--selftest", "-1"], "--selftest", 0),
+        (["run", MEM, "start(nil)", "--max-steps", "-3"], "--max-steps", 0),
+    ],
+)
+def test_counts_below_their_minimum_exit_2(capsys, argv, option, low):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {option}: must be at least {low}" in out.err
+
+
 def test_compile_tm_selftest(capsys):
     code, out, _ = run(capsys, "compile-tm", PARITY, "--selftest", "3")
     assert code == 0

@@ -21,6 +21,7 @@ from consfree.fmt import encode_input, parse_term, parse_trs
 from consfree.terms import (
     App,
     Kind,
+    Symbol,
     apply,
     format_term,
     is_data,
@@ -44,6 +45,9 @@ def test_step_order_is_deterministic():
     assert [(s.position, s.rule_index) for s in steps] == [((), 0), ((1,), 1)]
     assert [format_term(s.after) for s in steps] == ["a", "f(b)"]
     assert all(s.before is t for s in steps)
+    # a symbol of the same name but another arity heads none of the rules
+    b = App(TINY.symbol("b"))
+    assert step_full(TINY, App(Symbol("f", 2, Kind.DEFINED), (b, b))) == []
 
 
 def test_step_cbv_requires_data_arguments():

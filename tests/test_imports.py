@@ -123,9 +123,7 @@ def recursive_functions(source: str) -> list[str]:
 
 
 # walks that stay recursive, each with the reason it may
-RECURSION_ALLOWED = {
-    "analysis._compositions": "its depth is a symbol's arity",
-}
+RECURSION_ALLOWED: dict[str, str] = {}
 
 
 def test_checker_flags_unused_and_accepts_used():

@@ -17,6 +17,7 @@ from consfree.terms import (
     Var,
     apply,
     canonical_rule,
+    compile_rhs,
     format_term,
     head_tests,
     is_constructor_term,
@@ -206,7 +207,7 @@ def test_trs_extra_and_conflicts():
     h = Symbol("h", 1, Kind.DEFINED)
     trs = Trs((Rule(App(F, (App(NIL),)), App(NIL)),), extra=(h,))
     assert trs.symbol("h").kind is Kind.DEFINED
-    assert trs.rules_for(h) == []
+    assert h not in trs.by_head
     bad = (
         Rule(App(F, (App(NIL),)), App(NIL)),
         Rule(App(Symbol("f", 2, Kind.DEFINED), (Var("x"), Var("y"))), Var("x")),
@@ -225,7 +226,7 @@ def test_rules_for():
         Rule(App(F, (Var("x"),)), Var("x")),
     )
     trs = Trs(rules)
-    indexed = trs.rules_for(trs.symbol("f"))
+    indexed = trs.by_head[trs.symbol("f")]
     assert [i for i, _ in indexed] == [0, 2]
 
 
@@ -257,6 +258,46 @@ def test_head_tests_walk_child_paths():
     # registers 0, 1 are the arguments; register 0's test adds 2, 3; 3's adds 4, 5
     assert tests == ((0, CONS), (3, CONS))
     assert pats == [*lhs.args, Var("x"), lhs.args[0].args[1], Var("y"), Var("z")]
+
+
+def test_compile_rhs():
+    x = Var("x")
+    shared = App(F, (x,))
+    t = App(G, (shared, App(G, (shared, App(CONS, (x, App(NIL)))))))
+    seen = []
+
+    def leaf(u):
+        seen.append(u)
+        return None if isinstance(u, App) and u.head.kind is Kind.DEFINED else len(seen)
+
+    nodes, top = compile_rhs(t, leaf)
+    # leaf sees each distinct object once, in pre-order; the second `shared`
+    # and the second `x` (one object) are not asked again
+    assert seen == [t, shared, x, t.args[1], t.args[1].args[1]]
+    # post-order: f(x) first and once, then the inner g, then the root
+    assert nodes == [(F, (3,)), (G, (~0, 5)), (G, (~0, ~1))]
+    assert top == ~2
+    assert compile_rhs(x, lambda u: 7) == ([], 7)
+    # a 2000-deep term, in its own process, under the default recursion limit
+    code = (
+        "from consfree.terms import App, Kind, Symbol, Var, compile_rhs\n"
+        "g = Symbol('g', 1, Kind.DEFINED)\n"
+        "t = Var('x')\n"
+        "for _ in range(2000):\n"
+        "    t = App(g, (t,))\n"
+        "nodes, top = compile_rhs(t, lambda u: 0 if isinstance(u, Var) else None)\n"
+        "print(len(nodes), top, nodes[0][1], nodes[-1][1])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the innermost g reads the variable's slot, each other g the node below
+    assert proc.stdout == "2000 -2000 (0,) (-1999,)\n"
 
 
 def test_canonical_rule_and_same_rules():

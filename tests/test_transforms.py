@@ -14,7 +14,6 @@ from consfree.transforms import (
     compute_counts,
     phi,
     semi_linearize,
-    signature_map,
     verify_bottom_extension,
     verify_semi_linearization,
 )
@@ -44,12 +43,6 @@ def test_counts_ignore_pattern_arguments():
     assert counts.new_arity(trs.symbol("dup")) == 3
     assert counts.new_arity(trs.symbol("start")) == 1
     assert counts.new_arity(trs.symbol("cons")) == 2
-
-
-def test_signature_map_widens_defined_only():
-    sigmap = signature_map(DUP, compute_counts(DUP))
-    assert sigmap["f"].arity == 2
-    assert sigmap["g"].arity == 2
 
 
 def test_phi_repeats_arguments():
