@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .engine import Budget, Oracle, leftmost_trace, reachable_data
 from .fmt import (
+    TRUE,
     ParseError,
     encode_input,
     parse_term,
@@ -134,7 +135,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         return EXIT_OK if yes else EXIT_FAIL
     strategy = "full" if args.engine == "oracle-full" else "cbv"
     reach = reachable_data(trs, encode_input(bits=args.bits), strategy, budget)
-    verdict = reach.verdict(App(trs.symbol("true")))
+    verdict = reach.verdict(App(TRUE))
     print(verdict)
     print(
         f"explored={reach.explored} complete={str(reach.complete).lower()} "
@@ -374,9 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TmParseError as exc:
-        print(f"bad machine: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotConsFreeError as exc:
         print(f"not cons-free: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .fmt import encode_input, require_decision_interface
+from .fmt import TRUE, encode_input, require_decision_interface
 from .terms import (
     App,
     Kind,
@@ -297,7 +297,7 @@ def accepts(
     """Does start(bit list) reach the data term true under the strategy?"""
     require_decision_interface(trs)
     reach = reachable_data(trs, encode_input(bits), strategy, budget)
-    return reach.verdict(App(trs.symbol("true")))
+    return reach.verdict(App(TRUE))
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,15 @@ Identifiers are nonempty runs of [A-Za-z0-9_'].  Whitespace is insignificant.
 Symbol arities are inferred from first use and must stay consistent; the
 defined/constructor split is inferred from rule heads.  Files are UTF-8.
 
-The decision interface is the reserved vocabulary for deciding bit strings:
-start/1 (defined) plus constructors cons/2, nil/0, true/0, false/0, 0/0, 1/0.
+The decision interface, `DECISION_INTERFACE`, is the reserved vocabulary for
+deciding bit strings: start/1 (defined) plus constructors cons/2, nil/0,
+true/0, false/0, 0/0, 1/0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from .terms import (
     App,
@@ -37,15 +37,14 @@ IDENT_CHARS = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
 )
 
-DECISION_INTERFACE: tuple[tuple[str, int, Kind], ...] = (
-    ("start", 1, Kind.DEFINED),
-    ("cons", 2, Kind.CONSTRUCTOR),
-    ("nil", 0, Kind.CONSTRUCTOR),
-    ("true", 0, Kind.CONSTRUCTOR),
-    ("false", 0, Kind.CONSTRUCTOR),
-    ("0", 0, Kind.CONSTRUCTOR),
-    ("1", 0, Kind.CONSTRUCTOR),
-)
+START = Symbol("start", 1, Kind.DEFINED)
+CONS = Symbol("cons", 2, Kind.CONSTRUCTOR)
+NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
+TRUE = Symbol("true", 0, Kind.CONSTRUCTOR)
+FALSE = Symbol("false", 0, Kind.CONSTRUCTOR)
+ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
+ONE = Symbol("1", 0, Kind.CONSTRUCTOR)
+DECISION_INTERFACE = (START, CONS, NIL, TRUE, FALSE, ZERO, ONE)
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,9 @@ _TOKEN = re.compile(r"([A-Za-z0-9_']+)|(->|[(),])|[ \t\r\n]+|(;[^\n]*)|(.)")
 
 # (kind, text, offset): kind is "id", "eof" or the punctuation itself
 Token = tuple[str, str, int]
-# (name, args, offset of the name): a parsed term before symbols are known
-Raw = tuple[str, list, int]
+# [name, argument count, offset of the name]: a parsed node before symbols
+# are known; the count grows while the node's argument list is read
+Raw = list
 
 
 def _error(src: str, message: str, offset: int, text: str) -> ParseError:
@@ -122,30 +122,33 @@ class _Parser:
             message = f"expected '{word}', found {text!r}"
             raise _error(self.src, message, offset, text)
 
-    def term(self) -> Raw:
-        """One term, with a stack of the terms whose argument lists are still
-        open, so that nesting depth meets no recursion limit."""
-        open_terms: list[Raw] = []
+    def term(self) -> list[Raw]:
+        """One term's nodes in the order their names are read, pre-order,
+        with a stack of the nodes whose argument lists are still open, so
+        that nesting depth meets no recursion limit."""
+        nodes: list[Raw] = []
+        open_nodes: list[Raw] = []
         while True:
             _, name, offset = self.take("id", "a term")
-            raw: Raw = (name, [], offset)
+            raw: Raw = [name, 0, offset]
+            nodes.append(raw)
             if self.peek() == "(":
                 self.pos += 1
                 if self.peek() != ")":
-                    open_terms.append(raw)
+                    open_nodes.append(raw)
                     continue
                 self.take(")")
-            while open_terms:  # `raw` is complete: close the lists it ends
-                open_terms[-1][1].append(raw)
+            while open_nodes:  # a node is complete: close the lists it ends
+                open_nodes[-1][1] += 1
                 if self.peek() == ",":
                     self.pos += 1
                     break
                 self.take(")")
-                raw = open_terms.pop()
+                open_nodes.pop()
             else:
-                return raw
+                return nodes
 
-    def file(self) -> tuple[list[str], list[tuple[Raw, Raw]]]:
+    def file(self) -> tuple[list[str], list[tuple[list[Raw], list[Raw]]]]:
         self.take("(")
         self.keyword("VAR")
         var_names: list[str] = []
@@ -154,7 +157,7 @@ class _Parser:
         self.take(")")
         self.take("(")
         self.keyword("RULES")
-        raw_rules: list[tuple[Raw, Raw]] = []
+        raw_rules: list[tuple[list[Raw], list[Raw]]] = []
         while self.peek() != ")":
             lhs = self.term()
             self.take("->", "'->'")
@@ -165,37 +168,25 @@ class _Parser:
 
 
 def _arity_error(src: str, raw: Raw, arity: int) -> ParseError:
-    name, args, offset = raw
-    message = f"{name} used with {len(args)} arguments but has arity {arity}"
+    name, count, offset = raw
+    message = f"{name} used with {count} arguments but has arity {arity}"
     return _error(src, message, offset, name)
-
-
-def _build(raw: Raw, resolve: Callable[[Raw], Var | Symbol]) -> Term:
-    """The term `raw` stands for.  `resolve` checks each node in pre-order,
-    so the first error in pre-order is raised, and gives its variable or
-    symbol."""
-    order: list[Var | Symbol] = []
-    todo = [raw]
-    while todo:
-        r = todo.pop()
-        order.append(resolve(r))
-        if r[1]:
-            todo.extend(reversed(r[1]))
-    return build(order)
 
 
 def parse_trs(src: str) -> Trs:
     var_names, raw_rules = _Parser(src).file()
     var_of = {name: Var(name) for name in var_names}
-    defined = {lhs[0] for lhs, _ in raw_rules}
+    defined = {lhs[0][0] for lhs, _ in raw_rules}
     symbols: dict[str, Symbol] = {}  # arity and kind fixed by the first use
 
     def resolve(raw: Raw, seen: dict[str, int]) -> Var | Symbol:
-        """Check `raw`'s node; note each variable's first offset in `seen`."""
-        name, args, offset = raw
+        """Check `raw`'s node; note each variable's first offset in `seen`.
+        Nodes are resolved in pre-order, so the first error in pre-order is
+        raised."""
+        name, count, offset = raw
         var = var_of.get(name)
         if var is not None:
-            if args:
+            if count:
                 message = f"variable {name} applied to arguments"
                 raise _error(src, message, offset, name)
             seen.setdefault(name, offset)
@@ -203,8 +194,8 @@ def parse_trs(src: str) -> Trs:
         sym = symbols.get(name)
         if sym is None:
             kind = Kind.DEFINED if name in defined else Kind.CONSTRUCTOR
-            sym = symbols[name] = Symbol(name, len(args), kind)
-        elif sym.arity != len(args):
+            sym = symbols[name] = Symbol(name, count, kind)
+        elif sym.arity != count:
             raise _arity_error(src, raw, sym.arity)
         return sym
 
@@ -213,8 +204,8 @@ def parse_trs(src: str) -> Trs:
     for lhs, rhs in raw_rules:
         lhs_vars: dict[str, int] = {}
         rhs_vars: dict[str, int] = {}
-        lt = _build(lhs, lambda raw: resolve(raw, lhs_vars))
-        rt = _build(rhs, lambda raw: resolve(raw, rhs_vars))
+        lt = build([resolve(raw, lhs_vars) for raw in lhs])
+        rt = build([resolve(raw, rhs_vars) for raw in rhs])
         loose = [v for v in rhs_vars if v not in lhs_vars]
         if loose:
             if loose_error is None:
@@ -225,7 +216,8 @@ def parse_trs(src: str) -> Trs:
         elif isinstance(lt, App):
             rules.append(Rule(lt, rt))
     # arity errors anywhere come first, then variable left-hand sides
-    for (name, _, offset), _ in raw_rules:
+    for lhs, _ in raw_rules:
+        name, _, offset = lhs[0]
         if name in var_of:
             message = "left-hand side must not be a variable"
             raise _error(src, message, offset, name)
@@ -251,39 +243,30 @@ def print_trs(trs: Trs) -> str:
 def parse_term(src: str, trs: Trs) -> Term:
     """Parse one ground term against an existing signature (CLI input)."""
     parser = _Parser(src)
-    raw = parser.term()
+    nodes = parser.term()
     parser.take("eof", "end of term")
     by_name = {s.name: s for s in trs.signature}
 
     def resolve(r: Raw) -> Symbol:
-        name, args, offset = r
+        name, count, offset = r
         sym = by_name.get(name)
         if sym is None:
             raise _error(src, f"unknown symbol {name}", offset, name)
-        if sym.arity != len(args):
+        if sym.arity != count:
             raise _arity_error(src, r, sym.arity)
         return sym
 
-    return _build(raw, resolve)
-
-
-_START = Symbol("start", 1, Kind.DEFINED)
-_CONS = Symbol("cons", 2, Kind.CONSTRUCTOR)
-_NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
-_BITS = {
-    "0": Symbol("0", 0, Kind.CONSTRUCTOR),
-    "1": Symbol("1", 0, Kind.CONSTRUCTOR),
-}
+    return build([resolve(r) for r in nodes])
 
 
 def encode_input(bits: str) -> Term:
     """Encode a bit string as start(b1 :: ... :: bn :: nil)."""
-    acc: Term = App(_NIL)
+    acc: Term = App(NIL)
     for b in reversed(bits):
-        if b not in _BITS:
+        if b not in ("0", "1"):
             raise ValueError(f"input must consist of 0 and 1, got {b!r}")
-        acc = App(_CONS, (App(_BITS[b]), acc))
-    return App(_START, (acc,))
+        acc = App(CONS, (App(ONE if b == "1" else ZERO), acc))
+    return App(START, (acc,))
 
 
 def has_decision_interface(trs: Trs) -> bool:
@@ -296,12 +279,12 @@ def has_decision_interface(trs: Trs) -> bool:
 
 def require_decision_interface(trs: Trs) -> None:
     by_name = {s.name: s for s in trs.signature}
-    for name, arity, kind in DECISION_INTERFACE:
-        got = by_name.get(name)
+    for sym in DECISION_INTERFACE:
+        got = by_name.get(sym.name)
         if got is None:
-            raise ValueError(f"decision interface symbol {name}/{arity} missing")
-        if got is not Symbol(name, arity, kind):
+            raise ValueError(f"decision interface symbol {sym} missing")
+        if got is not sym:
             raise ValueError(
-                f"decision interface needs {name}/{arity} ({kind.value}), "
-                f"found {got.name}/{got.arity} ({got.kind.value})"
+                f"decision interface needs {sym} ({sym.kind.value}), "
+                f"found {got} ({got.kind.value})"
             )

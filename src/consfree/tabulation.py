@@ -39,12 +39,14 @@ term: cons-freeness makes every constructor-rooted rhs subterm ground data or
 a piece of the lhs (data values are pointers into the input, as in Jones).
 Each rule is compiled once per system, on first use, into a plan kept in
 `Trs.memo`: head tests along child-index paths for the lhs, and a body of
-lhs positions, ground constants and defined nodes for the rhs, by the
-oracle's `compile_rhs` walk.  A key tries
-the rules that `rule_index`, shared with the oracle, fits to its arguments'
+lhs positions, ground constants and defined nodes for the rhs, by
+`terms.compile_rhs`, the walk the oracle compiles with too.  A key tries the
+rules that `rule_index`, shared with the oracle, fits to its arguments'
 heads.  Per run, a B item is a head symbol and its children's indices; the
-start term and `nf`'s term are converted to indices once.  `basic_ops` counts the sites a term-walking
-evaluator would, a node shared by identity once, so the counts are the same.
+start term and `nf`'s term are converted to indices once.  `run_tabulation`
+returns the `ConfirmedTable` it filled, and `nf` evaluates on that run's own
+table.  `basic_ops` counts the sites a term-walking evaluator would, a node
+shared by identity once, so the counts are the same.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Iterator, Literal
 
 from . import __version__
 from .analysis import BSet, compute_b, is_b_safe, require_cons_free, rhs_data
-from .fmt import encode_input, require_decision_interface
+from .fmt import TRUE, encode_input, require_decision_interface
 from .terms import (
     Kind,
     Symbol,
@@ -102,29 +104,6 @@ def generations_bound_check(stats: TabulationStats) -> bool:
     return stats.generations <= (
         stats.defined_count * stats.b_size ** (stats.max_arity + 1) + 1
     )
-
-
-@dataclass
-class ConfirmedTable:
-    b: BSet
-    entries: dict[Key, int]  # value bitmask per key
-    trs: Trs
-    stats: TabulationStats
-
-    def yes_set(self, symbol: str, args: tuple[Term, ...]) -> frozenset[Term]:
-        key = (symbol, tuple(self.b.index[a] for a in args))
-        mask = self.entries.get(key, 0)
-        return frozenset(self.b.items[i] for i in _bits(mask))
-
-    def dump(self) -> str:
-        """One line per YES entry, `f(s1, ..., sn) => t`, sorted."""
-        lines = []
-        for (name, combo), mask in self.entries.items():
-            args = ", ".join(format_term(self.b.items[i]) for i in combo)
-            call = f"{name}({args})" if combo else name
-            for i in _bits(mask):
-                lines.append(f"{call} => {format_term(self.b.items[i])}")
-        return "\n".join(sorted(lines))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -197,14 +176,20 @@ class _Plans:
         return plan
 
 
-class _Engine:
+class ConfirmedTable:
+    """The Confirmed table of one run over its data universe `b`: `entries`
+    holds each key's value bitmask, YES entries only (`_set` never stores
+    0).  `run_tabulation` fills it and sets `stats`; `nf` evaluates on it."""
+
+    stats: TabulationStats
+
     def __init__(self, trs: Trs, b: BSet):
         plans = trs.memo.get("plans") or trs.memo.setdefault("plans", _Plans(trs))
         self.plans = plans
         self.trs = trs
         self.b = b
         self.ops = 0
-        self.table: dict[Key, int] = {}
+        self.entries: dict[Key, int] = {}
         # each B item as a head symbol and its children's B indices
         self.heads = [t.head for t in b.items]
         self.kids = [tuple(b.index[a] for a in t.args) for t in b.items]
@@ -213,6 +198,21 @@ class _Engine:
             t = plans.pool[self.consts.index(None)]
             raise ValueError(f"term {format_term(t)} is outside the data universe")
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
+
+    def yes_set(self, symbol: str, args: tuple[Term, ...]) -> frozenset[Term]:
+        key = (symbol, tuple(self.b.index[a] for a in args))
+        mask = self.entries.get(key, 0)
+        return frozenset(self.b.items[i] for i in _bits(mask))
+
+    def dump(self) -> str:
+        """One line per YES entry, `f(s1, ..., sn) => t`, sorted."""
+        lines = []
+        for (name, combo), mask in self.entries.items():
+            args = ", ".join(format_term(self.b.items[i]) for i in combo)
+            call = f"{name}({args})" if combo else name
+            for i in _bits(mask):
+                lines.append(f"{call} => {format_term(self.b.items[i])}")
+        return "\n".join(sorted(lines))
 
     def _ground(self, t: Term) -> tuple[tuple, list[int]]:
         """Body and registers of a ground term, its data looked up as its own
@@ -238,7 +238,7 @@ class _Engine:
         vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
         if not nodes:
             return 1 << vals[0][0]
-        get = self.table.get
+        get = self.entries.get
         tuples = self._bit_tuples
         ops = self.ops
         for name, slots in nodes:
@@ -261,7 +261,7 @@ class _Engine:
         for demand mode: it yields each key it reads that is not in `done`,
         and reads that key's value once resumed."""
         consts = self.consts
-        get = self.table.get
+        get = self.entries.get
         tuples = self._bit_tuples
         ops = 0  # added to self.ops at the end; other keys count meanwhile
         for (leaves, nodes), regs in bodies:
@@ -288,11 +288,11 @@ class _Engine:
 
     def _set(self, key: Key, value: int) -> bool:
         """Store a key's new value; whether it changed."""
-        old = self.table.get(key, 0)
+        old = self.entries.get(key, 0)
         if value == old:
             return False
         self.ops += (value ^ old).bit_count()  # insertions
-        self.table[key] = value
+        self.entries[key] = value
         return True
 
     def _matches(self, key: Key) -> list[tuple[tuple, list[int]]]:
@@ -315,7 +315,7 @@ class _Engine:
 
     def run_dense(self) -> int:
         n = len(self.b)
-        get, matches, values = self.table.get, self._matches, self._values
+        get, matches, values = self.entries.get, self._matches, self._values
         sweeps = 0
         while True:
             sweeps += 1
@@ -372,7 +372,7 @@ class _Engine:
                     cyclic = True
                 else:
                     open_keys.add(read)
-                    bodies, value = self._matches(read), self.table.get(read, 0)
+                    bodies, value = self._matches(read), self.entries.get(read, 0)
                     stack.append((read, self._evaluate(bodies, value, done)))
             generations += repeat and changed
             if not cyclic or not changed:
@@ -388,30 +388,27 @@ def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTabl
         raise ValueError(
             f"start term {format_term(start)} is not safe for its data universe"
         )
-    engine = _Engine(trs, b)
+    table = ConfirmedTable(trs, b)
     if mode == "dense":
-        generations = engine.run_dense()
+        generations = table.run_dense()
     elif mode == "demand":
-        generations = engine.run_demand(start)
+        generations = table.run_demand(start)
     else:
         raise ValueError(f"unknown tabulation mode {mode!r}")
     defined = trs.defined()
     k = max((s.arity for s in defined), default=0)
     n = size(start)
-    stats = TabulationStats(
-        n, k, generations, engine.ops, n ** (3 * k + 3), len(defined), len(b)
+    table.stats = TabulationStats(
+        n, k, generations, table.ops, n ** (3 * k + 3), len(defined), len(b)
     )
-    entries = {key: v for key, v in engine.table.items() if v}
-    return ConfirmedTable(b=b, entries=entries, trs=trs, stats=stats)
+    return table
 
 
 def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
     """Possible data values of a ground, B-safe term at the fixpoint."""
     if not is_b_safe(table.b, t):
         raise ValueError(f"term {format_term(t)} is not B-safe for this table")
-    engine = _Engine(table.trs, table.b)
-    engine.table = table.entries
-    mask = engine._values(*engine._ground(t))
+    mask = table._values(*table._ground(t))
     return frozenset(table.b.items[i] for i in _bits(mask))
 
 
@@ -420,5 +417,4 @@ def decide(trs: Trs, bits: str, mode: Mode = "dense") -> tuple[bool, TabulationS
     require_decision_interface(trs)
     start = encode_input(bits)
     table = run_tabulation(trs, start, mode)
-    true = trs.symbol("true")  # a constant, by the decision interface
-    return any(t.head is true for t in nf(table, start)), table.stats
+    return any(t.head is TRUE for t in nf(table, start)), table.stats

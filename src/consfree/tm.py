@@ -36,7 +36,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .fmt import IDENT_CHARS
+from .fmt import DECISION_INTERFACE, IDENT_CHARS
 from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
 
 _MOVES = ("L", "R", "S")
@@ -232,33 +232,33 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
         )
     td, pd = k + 1, k + 2  # digits per time / position counter
 
-    def con(name: str) -> Symbol:
-        return Symbol(name, 0, Kind.CONSTRUCTOR)
+    start, cons, nil, true, false, zero, one = DECISION_INTERFACE
+    roles = dict.fromkeys((s.name for s in DECISION_INTERFACE), "driver")
 
-    cons = Symbol("cons", 2, Kind.CONSTRUCTOR)
-    nil, true, false = con("nil"), con("true"), con("false")
-    bits = {"0": con("0"), "1": con("1")}
-    stc = {q: con(f"st_{q}") for q in sorted(tm.states)}
-    syc = {a: con(f"sy_{a}") for a in sorted(tm.tape_alphabet)}
-    mvc = {m: con(f"mv{m}") for m in _MOVES}
+    def sym(name: str, arity: int, role: str, kind: Kind = Kind.DEFINED) -> Symbol:
+        """A generated symbol, its role noted for the manifest."""
+        roles[name] = role
+        return Symbol(name, arity, kind)
 
-    def dfn(name: str, arity: int) -> Symbol:
-        return Symbol(name, arity, Kind.DEFINED)
+    con = Kind.CONSTRUCTOR
+    stc = {q: sym(f"st_{q}", 0, "state lookup", con) for q in sorted(tm.states)}
+    syc = {a: sym(f"sy_{a}", 0, "tape lookup", con) for a in sorted(tm.tape_alphabet)}
+    mvc = {m: sym(f"mv{m}", 0, "head predicate", con) for m in _MOVES}
+    sx = sym("sx", 1, "driver")
+    st, stx = sym("st", 1 + td, "state lookup"), sym("stx", 2, "state lookup")
+    rd, wrx = sym("rd", 1 + td + pd, "tape lookup"), sym("wrx", 2, "tape lookup")
+    bitat, b2sym = sym("bitat", 2, "tape lookup"), sym("b2sym", 1, "tape lookup")
+    hd, mvx = sym("hd", 1 + td + pd, "head predicate"), sym("mvx", 2, "head predicate")
+    mvsel = sym("mvsel", 4, "head predicate")
+    head = [sym(f"head{j}", 1 + td, "head predicate") for j in range(pd)]
 
-    start = dfn("start", 1)
-    sx = dfn("sx", 1)
-    st = dfn("st", 1 + td)
-    rd = dfn("rd", 1 + td + pd)
-    hd = dfn("hd", 1 + td + pd)
-    head = [dfn(f"head{j}", 1 + td) for j in range(pd)]
-    succ = [dfn(f"succ{j}", j + 2) for j in range(pd)]
-    pred = [dfn(f"pred{j}", j + 2) for j in range(pd)]
-    allmax = {j: dfn(f"allmax{j}", j + 1) for j in range(1, pd)}
-    allzero = {j: dfn(f"allzero{j}", j) for j in range(1, pd)}
-    eqlen, sl, lst = dfn("eqlen", 2), dfn("sl", 2), dfn("lst", 1)
-    bitat, b2sym = dfn("bitat", 2), dfn("b2sym", 1)
-    stx, wrx, mvx = dfn("stx", 2), dfn("wrx", 2), dfn("mvx", 2)
-    mvsel, if_eq, and_ = dfn("mvsel", 4), dfn("if_eq", 3), dfn("and", 2)
+    arith = "counter arithmetic"
+    succ = [sym(f"succ{j}", j + 2, arith) for j in range(pd)]
+    pred = [sym(f"pred{j}", j + 2, arith) for j in range(pd)]
+    allmax = {j: sym(f"allmax{j}", j + 1, arith) for j in range(1, pd)}
+    allzero = {j: sym(f"allzero{j}", j, arith) for j in range(1, pd)}
+    eqlen, sl, lst = sym("eqlen", 2, arith), sym("sl", 2, arith), sym("lst", 1, arith)
+    if_eq, and_ = sym("if_eq", 3, arith), sym("and", 2, arith)
 
     NIL, TRUE, FALSE = _ap(nil), _ap(true), _ap(false)
     x, xs, y, ys, z, zs, w, b = (Var(n) for n in "x xs y ys z zs w b".split())
@@ -287,8 +287,8 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
         Rule(_ap(bitat, NIL, Var("s")), _ap(syc[tm.blank])),
         Rule(_ap(bitat, _ap(cons, z, zs), NIL), _ap(b2sym, z)),
         Rule(_ap(bitat, _ap(cons, z, zs), DJ), _ap(bitat, zs, ys)),
-        Rule(_ap(b2sym, _ap(bits["0"])), _ap(syc["0"])),
-        Rule(_ap(b2sym, _ap(bits["1"])), _ap(syc["1"])),
+        Rule(_ap(b2sym, _ap(zero)), _ap(syc["0"])),
+        Rule(_ap(b2sym, _ap(one)), _ap(syc["1"])),
         Rule(_ap(mvsel, _ap(mvc["R"]), Var("u"), Var("v"), Var("q")), Var("u")),
         Rule(_ap(mvsel, _ap(mvc["S"]), Var("u"), Var("v"), Var("q")), Var("v")),
         Rule(_ap(mvsel, _ap(mvc["L"]), Var("u"), Var("v"), Var("q")), Var("q")),
@@ -483,44 +483,5 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     clock = [_ap(lst, W), W] if k == 1 else [NIL, W, _ap(lst, W)]
     rules.append(Rule(_ap(start, W), _ap(sx, _ap(st, W, *clock))))
 
-    roles: dict[str, str] = {}
-    for sym, role in [
-        (start, "driver"),
-        (sx, "driver"),
-        (cons, "driver"),
-        (nil, "driver"),
-        (true, "driver"),
-        (false, "driver"),
-        (bits["0"], "driver"),
-        (bits["1"], "driver"),
-        (st, "state lookup"),
-        (stx, "state lookup"),
-        (rd, "tape lookup"),
-        (wrx, "tape lookup"),
-        (bitat, "tape lookup"),
-        (b2sym, "tape lookup"),
-        (hd, "head predicate"),
-        (mvx, "head predicate"),
-        (mvsel, "head predicate"),
-        (eqlen, "counter arithmetic"),
-        (sl, "counter arithmetic"),
-        (lst, "counter arithmetic"),
-        (if_eq, "counter arithmetic"),
-        (and_, "counter arithmetic"),
-    ]:
-        roles[sym.name] = role
-    for group, role in [
-        (head, "head predicate"),
-        (succ, "counter arithmetic"),
-        (pred, "counter arithmetic"),
-        (allmax.values(), "counter arithmetic"),
-        (allzero.values(), "counter arithmetic"),
-        (stc.values(), "state lookup"),
-        (syc.values(), "tape lookup"),
-        (mvc.values(), "head predicate"),
-    ]:
-        for sym in group:
-            roles[sym.name] = role
-
-    trs = Trs(tuple(rules), (cons, nil, true, false, bits["0"], bits["1"]))
+    trs = Trs(tuple(rules), DECISION_INTERFACE)
     return CompiledTrs(trs=trs, symbol_manifest=roles)

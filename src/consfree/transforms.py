@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .analysis import check_constrained, require_cons_free
 from .engine import Oracle
-from .fmt import has_decision_interface
+from .fmt import START, has_decision_interface
 from .terms import (
     App,
     Kind,
@@ -182,13 +182,12 @@ def semi_linearize(trs: Trs) -> Trs:
     extra = [counts.widen(s)[0] for s in trs.defined() if s not in trs.by_head]
     if has_decision_interface(trs):
         wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
-        start = trs.symbol("start")
         for c in trs.constructors():
             pattern = App(c, _pattern_vars(c.arity, names))
             new_rules.append(
                 Rule(
                     App(wrapper, (pattern,)),
-                    phi(trs, counts, App(start, (pattern,))),
+                    phi(trs, counts, App(START, (pattern,))),
                 )
             )
         extra.append(wrapper)

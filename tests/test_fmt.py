@@ -44,6 +44,9 @@ def test_comments_and_whitespace_insignificant():
 PARSE_ERRORS = [
     ("(VAR x)(RULES f(x(nil)) -> x)", "1:17", "variable x applied"),
     ("(VAR x)(RULES f(x) -> g(x) g(x, x) -> x)", "1:28", "used with 2 arguments"),
+    # nested uses: the first use in pre-order fixes the arity
+    ("(VAR x)(RULES f(x) -> g(g(x, x)))", "1:25", "used with 2 arguments"),
+    ("(VAR x)(RULES f(x) -> g(x, g(x)))", "1:28", "used with 1 arguments"),
     ("(VAR x)(RULES x -> f(x))", "1:15", "must not be a variable"),
     ("(VAR x y)(RULES f(x) -> y)", "1:25", "does not occur on the left"),
     ("(VAR x)(RULES f(x) - x)", "1:20", "stray '-'"),

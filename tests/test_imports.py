@@ -1,6 +1,8 @@
 """Every name a module under src/consfree imports is used in that module,
 and every private module-level name, nested function, private method and
-private `self._x` attribute it defines is read in that module.
+private `self._x` attribute it defines is read in that module.  No function
+calls itself, and outside `fmt.py` no module names a decision-interface
+symbol by a string literal.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -11,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from consfree.fmt import DECISION_INTERFACE
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "consfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -195,3 +199,40 @@ def test_no_recursion_outside_the_allow_list(path):
     found = [f"{path.stem}.{name}" for name in
              recursive_functions(path.read_text(encoding="utf-8"))]
     assert [name for name in found if name not in RECURSION_ALLOWED] == []
+
+
+INTERFACE_NAMES = {s.name for s in DECISION_INTERFACE}
+
+
+def interface_literals(source: str) -> list[str]:
+    """`Symbol(...)` and `.symbol(...)` calls whose first argument is a string
+    literal naming a decision-interface symbol: `fmt` holds those symbols."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not (isinstance(n, ast.Call) and n.args):
+            continue
+        f, first = n.func, n.args[0]
+        named = (isinstance(f, ast.Name) and f.id == "Symbol") or (
+            isinstance(f, ast.Attribute) and f.attr == "symbol")
+        if named and isinstance(first, ast.Constant) and first.value in INTERFACE_NAMES:
+            found.append(f"{first.value} (line {n.lineno})")
+    return found
+
+
+def test_interface_literal_checker_flags_literals():
+    src = (
+        'a = Symbol("cons", 2, Kind.CONSTRUCTOR)\n'
+        'b = trs.symbol("true")\n'
+        'c = Symbol("bot", 0, Kind.CONSTRUCTOR)\n'
+        'd = trs.symbol(name)\n'
+        'e = Symbol(f"st_{q}", 0, Kind.CONSTRUCTOR)\n'
+        'f = symbol("start")\n'
+    )
+    assert interface_literals(src) == ["cons (line 1)", "true (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "fmt.py"], ids=lambda p: p.name
+)
+def test_decision_interface_named_only_in_fmt(path):
+    assert interface_literals(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 from consfree import tabulation
 from consfree.analysis import BSet, NotConsFreeError, b_safe_terms
@@ -199,14 +200,14 @@ def test_demand_counts_frozen_on_shared_rhs_nodes():
 def demand_run(monkeypatch, trs, start):
     """A demand table and the keys evaluated while filling it, in order."""
     evaluated = []
-    original = tabulation._Engine._matches
+    original = tabulation.ConfirmedTable._matches
 
     def counting(self, key):  # demand mode matches each key it evaluates
         evaluated.append(key)
         return original(self, key)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tabulation._Engine, "_matches", counting)
+        patch.setattr(tabulation.ConfirmedTable, "_matches", counting)
         table = run_tabulation(trs, start, "demand")
     return table, evaluated
 
@@ -293,8 +294,28 @@ def test_nf_rejects_table_missing_rhs_data():
     # every ground constant of a right-hand side is in B by construction; a
     # table whose universe lacks one is refused, not misread
     mem = load_system("membership")
-    table = run_tabulation(mem, encode_input("0"))
     nil = parse_term("nil", mem)
-    table.b = BSet((nil,))
     with pytest.raises(ValueError, match="outside the data universe"):
-        nf(table, nil)
+        tabulation.ConfirmedTable(mem, BSet((nil,)))
+
+
+def test_decide_sets_up_one_table_per_call():
+    # nf evaluates on the table the run filled, so a decide sets up exactly
+    # one table object; any class of this module set up per call shows here
+    mem = load_system("membership")
+    decide(mem, "0")  # the per-system rule plans are built once, before
+    for mode in ("dense", "demand"):
+        made = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_name == "__init__"
+                    and code.co_filename == tabulation.__file__):
+                made.append(type(frame.f_locals["self"]).__name__)
+
+        sys.setprofile(profile)
+        try:
+            decide(mem, "0110", mode)
+        finally:
+            sys.setprofile(None)
+        assert made == ["ConfirmedTable"], mode

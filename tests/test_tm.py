@@ -4,7 +4,7 @@ import pytest
 
 from consfree.analysis import check_cons_free, check_semi_linear
 from consfree.engine import reachable_data
-from consfree.fmt import has_decision_interface, parse_term
+from consfree.fmt import DECISION_INTERFACE, has_decision_interface, parse_term
 from consfree.tabulation import decide
 from consfree.terms import format_term
 from consfree.tm import TmParseError, compile_tm, parse_tm, simulate_tm
@@ -162,7 +162,8 @@ def test_compile_manifest_covers_signature():
     compiled = compile_tm(load_machine("parity"))
     names = {s.name for s in compiled.trs.signature}
     assert names <= set(compiled.symbol_manifest)
-    assert compiled.symbol_manifest["start"] == "driver"
+    for sym in DECISION_INTERFACE:
+        assert compiled.symbol_manifest[sym.name] == "driver"
     assert compiled.symbol_manifest["st"] == "state lookup"
 
 
