@@ -27,6 +27,7 @@ from .terms import (
     format_term,
     is_constructor_term,
     is_data,
+    rhs_data,
     subterms,
 )
 
@@ -77,7 +78,7 @@ def _violations(trs: Trs) -> list[Violation]:
         for arg in lhs.args:
             if not is_constructor_term(arg):
                 out.append(Violation(i, 2, arg))
-        lhs_strict = subterms(lhs)[1:]
+        lhs_strict = set(subterms(lhs)[1:])
         for t in subterms(rule.rhs):
             if isinstance(t, App) and t.head.kind is Kind.CONSTRUCTOR:
                 if is_data(t) or t in lhs_strict:
@@ -196,30 +197,9 @@ class BSet:
 def compute_b(trs: Trs, start: Term) -> BSet:
     """The data universe of a run from `start`: the start term's data, then
     the system's right-hand-side data pool less what the start term holds."""
-    items: list[Term] = []
-    seen: set[Term] = set()
-    _add_data_subterms(start, items, seen)
-    items.extend(t for t in rhs_data(trs) if t not in seen)
+    items = dict.fromkeys(s for s in subterms(start) if s.is_data)
+    items.update(dict.fromkeys(rhs_data(trs)))  # a key already in keeps its place
     return BSet(tuple(items))
-
-
-def rhs_data(trs: Trs) -> tuple[Term, ...]:
-    """Data subterms of the right-hand sides in file order, once per system."""
-    pool = trs.memo.get("rhs_data")
-    if pool is None:
-        items: list[Term] = []
-        seen: set[Term] = set()
-        for rule in trs.rules:
-            _add_data_subterms(rule.rhs, items, seen)
-        pool = trs.memo["rhs_data"] = tuple(items)
-    return pool
-
-
-def _add_data_subterms(t: Term, items: list[Term], seen: set[Term]) -> None:
-    for s in subterms(t):
-        if s not in seen and is_data(s):
-            seen.add(s)
-            items.append(s)
 
 
 def is_b_safe(b: BSet, t: Term) -> bool:

@@ -150,10 +150,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     trs = _load_trs(args.path)
     term = parse_term(args.term, trs)
     trace = leftmost_trace(trs, term, args.strategy, args.max_steps)
-    rendered = trace.render(trs)
+    terms = trace.terms(trs)
+    rendered = trace.render(terms)
     if rendered:
         print(rendered)
-    print(f"result: {format_term(trace.terms(trs)[-1])}")
+    print(f"result: {format_term(terms[-1])}")
     return EXIT_OK
 
 

@@ -7,10 +7,12 @@ starts, and budgeted or not.  `reachable_data` is one budgeted start, its
 result saying honestly whether the search completed; `data_results` is many
 unbudgeted starts.
 
-A step never calls `match` or `apply`.  Each rule is compiled once per
-system into head tests, equality tests for a repeated lhs variable, and a
-post-order builder of the rhs (`compile_rhs`, shared with the table); the
-rules tried at a redex are those that `rule_index` fits to its argument heads.
+A step never calls `match` or `apply`.  It runs the rule plans that
+`terms.rule_plans` compiles once per system, the same plans the table runs:
+head tests, equality tests for a repeated lhs variable, and a post-order
+builder of the rhs over the matched subterms and shared data constants.  The
+rules tried at a redex are those that `rule_index` fits to its argument
+heads.
 
 Two strategies: `full` rewrites anywhere; `cbv` (call-by-value) rewrites only
 redexes whose arguments are all data, so a nullary defined symbol is always
@@ -27,13 +29,9 @@ from .terms import (
     App,
     Kind,
     Position,
-    Rule,
     Term,
     Trs,
-    Var,
     apply,
-    compile_rhs,
-    head_tests,
     match,
     replace_at,
     rule_index,
@@ -77,48 +75,6 @@ class ReachabilityResult:
         return "no" if self.complete else "unknown"
 
 
-def _plan(rule: Rule) -> tuple:
-    """A rule compiled for the oracle: (tests, eqs, consts, nodes, top).
-
-    `tests` are the lhs's `head_tests`; `eqs` pairs the registers that hold
-    one repeated lhs variable, which must hold equal terms.  The rest builds
-    the rhs bottom-up over slots: the registers, then `consts` (the rhs's
-    data subterms, shared), then one slot per `nodes` entry, a head and its
-    arguments' slots in post-order.  `top` is the slot of the rhs."""
-    tests, pats = head_tests(rule.lhs)
-    reg: dict[str, int] = {}  # variable name -> its first register
-    eqs = []
-    for r, p in enumerate(pats):
-        if isinstance(p, Var) and reg.setdefault(p.name, r) != r:
-            eqs.append((reg[p.name], r))
-    consts: list[Term] = []
-
-    def leaf(u: Term) -> int | None:
-        if isinstance(u, Var):
-            return reg[u.name]
-        if u.is_data:
-            consts.append(u)
-            return len(pats) + len(consts) - 1
-        return None  # a node to build
-
-    nodes, top = compile_rhs(rule.rhs, leaf)
-    base = len(pats) + len(consts)
-
-    def final(s: int) -> int:
-        return s if s >= 0 else base + ~s
-
-    built = tuple((f, tuple(map(final, args))) for f, args in nodes)
-    return tests, tuple(eqs), tuple(consts), built, final(top)
-
-
-def _plans(trs: Trs) -> tuple[tuple, ...]:
-    """Every rule's oracle plan, by rule index, compiled once per system."""
-    plans = trs.memo.get("oracle_plans")
-    if plans is None:
-        plans = trs.memo["oracle_plans"] = tuple(_plan(r) for r in trs.rules)
-    return plans
-
-
 def _rewrites(
     trs: Trs, t: Term, strategy: Strategy
 ) -> Iterator[tuple[Position, int, Term]]:
@@ -126,11 +82,13 @@ def _rewrites(
     deterministic order: positions pre-order (leftmost-outermost first),
     rules in file order at each position.  One walk with an explicit stack;
     data subtrees hold no redex and are skipped.  A redex tries the rules
-    that `rule_index` fits to its argument heads, each by its plan."""
+    that `rule_index` fits to its argument heads, each by its `rule_plans`
+    plan: the registers are the matched subterms, so a rhs piece equal to
+    an lhs piece is the subject's own object, not a copy."""
     if not isinstance(t, App) or t.is_data:
         return
     cbv = strategy == "cbv"
-    index, plans = rule_index(trs), _plans(trs)
+    index = rule_index(trs)
     todo: list[tuple[Position, App]] = [((), t)]
     while todo:
         pos, sub = todo.pop()
@@ -138,8 +96,8 @@ def _rewrites(
         if sub.head.kind is Kind.DEFINED and not (
             cbv and not all(a.is_data for a in args)
         ):
-            for i in index[(sub.head, tuple([a.head for a in args]))]:
-                tests, eqs, consts, nodes, top = plans[i]
+            fits = index[(sub.head, tuple([a.head for a in args]))]
+            for i, (tests, eqs, consts, _, nodes, top) in fits:
                 regs = list(args)
                 for r, f in tests:
                     u = regs[r]
@@ -319,11 +277,12 @@ class Trace:
             out.append(replace_at(t, pos, apply(subst, rule.rhs)))
         return out
 
-    def render(self, trs: Trs) -> str:
+    def render(self, terms: list[Term]) -> str:
         """One line per step: `<position> <rule-index> <term-after>`; the
-        root position prints as `e`."""
+        root position prints as `e`.  `terms` is the trace's replay,
+        `self.terms(trs)`, so a caller that also needs the terms replays
+        once."""
         lines = []
-        terms = self.terms(trs)
         for (pos, rule_index), after in zip(self.steps, terms[1:]):
             spot = ".".join(map(str, pos)) if pos else "e"
             lines.append(f"{spot} {rule_index} {after}")

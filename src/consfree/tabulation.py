@@ -34,19 +34,20 @@ Two modes:
   makes compiled Turing machines, whose symbols have higher arities,
   affordable to run.
 
-Table values are bitmasks over B indices, and a fill builds and hashes no
-term: cons-freeness makes every constructor-rooted rhs subterm ground data or
-a piece of the lhs (data values are pointers into the input, as in Jones).
-Each rule is compiled once per system, on first use, into a plan kept in
-`Trs.memo`: head tests along child-index paths for the lhs, and a body of
-lhs positions, ground constants and defined nodes for the rhs, by
-`terms.compile_rhs`, the walk the oracle compiles with too.  A key tries the
-rules that `rule_index`, shared with the oracle, fits to its arguments'
-heads.  Per run, a B item is a head symbol and its children's indices; the
-start term and `nf`'s term are converted to indices once.  `run_tabulation`
-returns the `ConfirmedTable` it filled, and `nf` evaluates on that run's own
-table.  `basic_ops` counts the sites a term-walking evaluator would, a node
-shared by identity once, so the counts are the same.
+Table values are bitmasks over B indices, keys are a defined symbol and its
+arguments' B indices, and a fill builds and hashes no term: cons-freeness
+makes every constructor-rooted rhs subterm ground data or a piece of the lhs
+(data values are pointers into the input, as in Jones).  A rule runs as its
+`terms.rule_plans` plan, the one the oracle runs too: head tests along
+child-index paths for the lhs, and for the rhs slots that hold the
+registers, then the rule's ground constants, then its nodes, each a defined
+symbol evaluated pointwise over the table.  A key tries the rules that
+`rule_index` fits to its arguments' heads.  Per run, a B item is a head
+symbol and its children's indices, and each constant is its B index; the
+start term and `nf`'s term are converted to the same layout once.
+`run_tabulation` returns the `ConfirmedTable` it filled, and `nf` evaluates
+on that run's own table.  `basic_ops` counts the sites a term-walking
+evaluator would, a node shared by identity once, so the counts are the same.
 """
 
 from __future__ import annotations
@@ -54,27 +55,24 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from typing import Iterator, Literal
 
 from . import __version__
-from .analysis import BSet, compute_b, is_b_safe, require_cons_free, rhs_data
+from .analysis import BSet, compute_b, is_b_safe, require_cons_free
 from .fmt import TRUE, encode_input, require_decision_interface
 from .terms import (
-    Kind,
     Symbol,
     Term,
     Trs,
-    Var,
     compile_rhs,
     format_term,
-    head_tests,
-    is_data,
+    rhs_data,
     rule_index,
     size,
 )
 
 Mode = Literal["dense", "demand"]
-Key = tuple[str, tuple[int, ...]]  # a defined symbol's name and argument B indices
+Key = tuple[Symbol, tuple[int, ...]]  # a defined symbol and argument B indices
 
 
 @dataclass(frozen=True)
@@ -113,69 +111,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _compile(t: Term, leaf: Callable[[Term], int]) -> tuple:
-    """Body (leaves, nodes) of t, by `compile_rhs`.  `leaf` gives each
-    variable or constructor-rooted subterm as a register (>= 0) or a ground
-    constant ~k, k its place in the rhs data pool.  `nodes` are the defined
-    nodes in post-order, a name and operand slots each; slots number the
-    leaves, then the nodes."""
-    leaves: list[int] = []
-
-    def slot(u: Term) -> int | None:
-        if isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR:
-            leaves.append(leaf(u))
-            return len(leaves) - 1
-        return None  # a defined node
-
-    nodes, _ = compile_rhs(t, slot)
-    n = len(leaves)
-    return tuple(leaves), tuple(
-        (f.name, tuple(s if s >= 0 else n + ~s for s in args)) for f, args in nodes
-    )
-
-
-class _Plans:
-    """Each rule's plan, compiled on first use: its lhs's `head_tests` and a
-    body.  On a B item, a test (r, f) checks that register r holds an item
-    headed by f and appends the item's children as registers; registers
-    start as the key's arguments.  The lhs is linear, so no test compares
-    two registers."""
-
-    def __init__(self, trs: Trs):
-        self.rules = trs.rules
-        self.index = rule_index(trs)
-        self.symbol = {s.name: s for s in trs.defined()}
-        self.pool = rhs_data(trs)
-        self._pool_slot = {t: k for k, t in enumerate(self.pool)}
-        self._rules: dict[int, tuple] = {}
-        self._candidates: dict[tuple, list[tuple]] = {}
-
-    def candidates(self, name: str, heads: tuple[Symbol, ...]) -> list[tuple]:
-        """Plans of the rules that `rule_index` fits to `name` applied to
-        items with these heads."""
-        hit = self._candidates.get((name, heads))
-        if hit is None:
-            sym = self.symbol.get(name)
-            hit = self._candidates[(name, heads)] = (
-                [] if sym is None else [self._plan(i) for i in self.index[(sym, heads)]]
-            )
-        return hit
-
-    def _plan(self, i: int) -> tuple:
-        plan = self._rules.get(i)
-        if plan is None:
-            rule = self.rules[i]
-            tests, pats = head_tests(rule.lhs)
-
-            def leaf(t: Term) -> int:
-                if is_data(t):
-                    return ~self._pool_slot[t]
-                return pats.index(t)  # a variable or lhs subterm, unique by linearity
-
-            plan = self._rules[i] = (tests, _compile(rule.rhs, leaf))
-        return plan
-
-
 class ConfirmedTable:
     """The Confirmed table of one run over its data universe `b`: `entries`
     holds each key's value bitmask, YES entries only (`_set` never stores
@@ -184,8 +119,7 @@ class ConfirmedTable:
     stats: TabulationStats
 
     def __init__(self, trs: Trs, b: BSet):
-        plans = trs.memo.get("plans") or trs.memo.setdefault("plans", _Plans(trs))
-        self.plans = plans
+        self.index = rule_index(trs)
         self.trs = trs
         self.b = b
         self.ops = 0
@@ -193,87 +127,97 @@ class ConfirmedTable:
         # each B item as a head symbol and its children's B indices
         self.heads = [t.head for t in b.items]
         self.kids = [tuple(b.index[a] for a in t.args) for t in b.items]
-        self.consts = [b.index.get(t) for t in plans.pool]
+        self.ones = [(i,) for i in range(len(b))]  # an item as a value tuple
+        pool = rhs_data(trs)
+        self.consts = [b.index.get(t) for t in pool]
         if None in self.consts:
-            t = plans.pool[self.consts.index(None)]
+            t = pool[self.consts.index(None)]
             raise ValueError(f"term {format_term(t)} is outside the data universe")
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
 
     def yes_set(self, symbol: str, args: tuple[Term, ...]) -> frozenset[Term]:
-        key = (symbol, tuple(self.b.index[a] for a in args))
-        mask = self.entries.get(key, 0)
+        sym = next((s for s in self.trs.signature if s.name == symbol), None)
+        mask = self.entries.get((sym, tuple(self.b.index[a] for a in args)), 0)
         return frozenset(self.b.items[i] for i in _bits(mask))
 
     def dump(self) -> str:
         """One line per YES entry, `f(s1, ..., sn) => t`, sorted."""
         lines = []
-        for (name, combo), mask in self.entries.items():
+        for (sym, combo), mask in self.entries.items():
             args = ", ".join(format_term(self.b.items[i]) for i in combo)
-            call = f"{name}({args})" if combo else name
+            call = f"{sym.name}({args})" if combo else sym.name
             for i in _bits(mask):
                 lines.append(f"{call} => {format_term(self.b.items[i])}")
         return "\n".join(sorted(lines))
 
-    def _ground(self, t: Term) -> tuple[tuple, list[int]]:
-        """Body and registers of a ground term, its data looked up as its own
-        objects, so that dict identity spares a deep compare."""
+    def _ground(self, t: Term) -> tuple[tuple, int, list[int]]:
+        """Nodes, top slot and registers of a ground term in the layout of
+        a rule plan: its data subterms are the registers, looked up as their
+        own objects so that dict identity spares a deep compare."""
         regs: list[int] = []
 
-        def leaf(u: Term) -> int:
-            regs.append(self.b.index[u])
-            return len(regs) - 1
+        def leaf(u: Term) -> int | None:
+            if u.is_data:
+                regs.append(self.b.index[u])
+                return len(regs) - 1
+            return None  # a defined node
 
-        return _compile(t, leaf), regs
+        nodes, top = compile_rhs(t, leaf)
+        n = len(regs)
 
-    def _values(self, body: tuple, regs: list[int]) -> int:
-        """Bitmask of possible values of `body` against the current table.
+        def final(s: int) -> int:
+            return s if s >= 0 else n + ~s
+
+        return tuple((f, tuple(map(final, args))) for f, args in nodes), final(top), regs
+
+    def _values(self, nodes: tuple, top: int, regs: list[int]) -> int:
+        """Bitmask of possible values of a plan's `nodes` and `top` on its
+        registers `regs` against the current table.
 
         Dense mode and `nf` keep this evaluator beside demand mode's
         `_evaluate` on purpose: driving `_evaluate` with every key `done`
         keeps every count, but it made dense decides 10-30 % slower
         (membership at n=32 went from 15.7-16.4 to 19.1-20.3 ms, min of 5),
         and `corpus_dense` runs this path."""
-        leaves, nodes = body
-        consts = self.consts
-        vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
         if not nodes:
-            return 1 << vals[0][0]
+            return 1 << regs[top]
+        vals = list(map(self.ones.__getitem__, regs))
         get = self.entries.get
         tuples = self._bit_tuples
         ops = self.ops
-        for name, slots in nodes:
+        for sym, slots in nodes:
             ops += 1  # nf cache miss
             mask = 0
             for combo in itertools.product(*[vals[s] for s in slots]):
                 ops += 1  # table lookup
-                mask |= get((name, combo), 0)
+                mask |= get((sym, combo), 0)
             bits = tuples.get(mask)
             if bits is None:
                 bits = tuples[mask] = tuple(_bits(mask))
             vals.append(bits)
         self.ops = ops
-        return mask
+        return mask  # the top node is the last in post-order
 
     def _evaluate(
-        self, bodies: list[tuple[tuple, list[int]]], value: int, done: set[Key]
+        self, bodies: list[tuple[tuple, int, list[int]]], value: int, done: set[Key]
     ) -> Iterator[Key]:
         """`value` joined with the possible values of `bodies`, as a generator
         for demand mode: it yields each key it reads that is not in `done`,
         and reads that key's value once resumed."""
-        consts = self.consts
+        ones = self.ones
         get = self.entries.get
         tuples = self._bit_tuples
         ops = 0  # added to self.ops at the end; other keys count meanwhile
-        for (leaves, nodes), regs in bodies:
-            vals = [(regs[s] if s >= 0 else consts[~s],) for s in leaves]
+        for nodes, top, regs in bodies:
             if not nodes:
-                value |= 1 << vals[0][0]
+                value |= 1 << regs[top]
                 continue
-            for name, slots in nodes:
+            vals = list(map(ones.__getitem__, regs))
+            for sym, slots in nodes:
                 ops += 1  # nf cache miss
                 mask = 0
                 for combo in itertools.product(*[vals[s] for s in slots]):
-                    key = (name, combo)
+                    key = (sym, combo)
                     ops += 1  # table lookup
                     if key not in done:
                         yield key
@@ -295,13 +239,19 @@ class ConfirmedTable:
         self.entries[key] = value
         return True
 
-    def _matches(self, key: Key) -> list[tuple[tuple, list[int]]]:
-        """Body and registers of each rule of `key`'s symbol that matches
-        its arguments."""
-        name, combo = key
-        heads, kids = self.heads, self.kids
+    def _matches(self, key: Key) -> list[tuple[tuple, int, list[int]]]:
+        """Nodes, top slot and registers of each rule of `key`'s symbol that
+        matches its arguments.  On a B item, a test (r, f) checks that
+        register r holds an item headed by f and appends the item's children
+        as registers; registers start as the key's arguments and end with the
+        rule's constants.  The lhs is linear, so no test compares two
+        registers."""
+        sym, combo = key
+        heads, kids, consts = self.heads, self.kids, self.consts
         found = []
-        for tests, body in self.plans.candidates(name, tuple(heads[i] for i in combo)):
+        for _, (tests, _, _, pool, nodes, top) in self.index[
+            (sym, tuple([heads[i] for i in combo]))
+        ]:
             self.ops += 1  # rule-match attempt
             regs = list(combo)
             for r, h in tests:
@@ -310,7 +260,8 @@ class ConfirmedTable:
                     break
                 regs += kids[idx]
             else:
-                found.append((body, regs))
+                regs += [consts[k] for k in pool]
+                found.append((nodes, top, regs))
         return found
 
     def run_dense(self) -> int:
@@ -323,10 +274,10 @@ class ConfirmedTable:
             updates = {}
             for sym in self.trs.defined():
                 for combo in itertools.product(range(n), repeat=sym.arity):
-                    key = (sym.name, combo)
+                    key = (sym, combo)
                     old = value = get(key, 0)
-                    for body, regs in matches(key):
-                        value |= values(body, regs)
+                    for nodes, top, regs in matches(key):
+                        value |= values(nodes, top, regs)
                     if value != old:
                         updates[key] = value
             if not updates:

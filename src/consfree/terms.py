@@ -389,17 +389,88 @@ class Trs:
         return tuple(s for s in self.signature if s.kind is Kind.CONSTRUCTOR)
 
 
+def rhs_data(trs: Trs) -> tuple[Term, ...]:
+    """Data subterms of the right-hand sides in file order, each once, kept
+    in `trs.memo`."""
+    pool = trs.memo.get("rhs_data")
+    if pool is None:
+        pool = trs.memo["rhs_data"] = tuple(
+            dict.fromkeys(s for r in trs.rules for s in subterms(r.rhs) if s.is_data)
+        )
+    return pool
+
+
+class _RulePlans(dict):
+    """See `rule_plans`: a rule is compiled on its first lookup."""
+
+    def __init__(self, trs: Trs):
+        super().__init__()
+        self.rules = trs.rules
+        self.pool_slot = {t: k for k, t in enumerate(rhs_data(trs))}
+
+    def __missing__(self, i: int) -> tuple:
+        rule = self.rules[i]
+        tests, pats = head_tests(rule.lhs)
+        where: dict[Term, int] = {}  # lhs subterm -> its first register
+        eqs = []
+        for r, p in enumerate(pats):
+            if where.setdefault(p, r) != r and isinstance(p, Var):
+                eqs.append((where[p], r))
+        consts: list[Term] = []
+        pool: list[int] = []
+
+        def leaf(u: Term) -> int | None:
+            if u.is_data:
+                consts.append(u)
+                pool.append(self.pool_slot[u])
+                return len(pats) + len(consts) - 1
+            return where.get(u)  # None: a node to build
+
+        nodes, top = compile_rhs(rule.rhs, leaf)
+        base = len(pats) + len(consts)
+
+        def final(s: int) -> int:
+            return s if s >= 0 else base + ~s
+
+        built = tuple((f, tuple(map(final, args))) for f, args in nodes)
+        plan = self[i] = (
+            tests, tuple(eqs), tuple(consts), tuple(pool), built, final(top)
+        )
+        return plan
+
+
+def rule_plans(trs: Trs) -> dict[int, tuple]:
+    """Each rule compiled once per system, on its first lookup by rule index,
+    into the one plan that both the oracle and the table run, kept in
+    `trs.memo`.  A plan is (tests, eqs, consts, pool slots, nodes, top).
+
+    `tests` are the lhs's `head_tests`; `eqs` pairs the registers that hold
+    one repeated lhs variable, which must hold equal terms.  The rhs is built
+    bottom-up over slots: the registers, then `consts` (the rhs's data
+    subterms; `pool slots` gives each one's place in `rhs_data`), then one
+    slot per `nodes` entry, a head and its arguments' slots in post-order.
+    `top` is the slot of the rhs.  A data subterm is a const, a subterm equal
+    to an lhs argument subterm (a variable among them) is that subterm's
+    first register, and every other subterm is a node.  So on a cons-free
+    system every node is headed by a defined symbol."""
+    plans = trs.memo.get("rule_plans")
+    if plans is None:
+        plans = trs.memo["rule_plans"] = _RulePlans(trs)
+    return plans
+
+
 class _RuleIndex(dict):
     """See `rule_index`: an entry is computed on its first lookup."""
 
     def __init__(self, trs: Trs):
         super().__init__()
         self.by_head = trs.by_head
+        self.plans = rule_plans(trs)
 
-    def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[int, ...]:
+    def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[tuple[int, tuple], ...]:
         head, arg_heads = key
         hit = self[key] = tuple(
-            i
+            (i, self.plans[i])
             for i, rule in self.by_head.get(head, ())
             if all(
                 isinstance(p, Var) or p.head is h for p, h in zip(rule.lhs.args, arg_heads)
@@ -408,13 +479,14 @@ class _RuleIndex(dict):
         return hit
 
 
-def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[int, ...]]:
+def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[tuple[int, tuple], ...]]:
     """The system's argument-head index (after Graf's substitution trees),
     kept in `trs.memo`.  A key is a head symbol and the head symbols of its
-    arguments' roots (None for a variable); its value holds the indices, in
-    file order, of the head's rules whose lhs argument roots fit: a pattern
-    variable fits anything, a pattern term only that head.  Compiled systems
-    carry hundreds of rules, most ruled out here by one lookup."""
+    arguments' roots (None for a variable); its value holds the index and
+    `rule_plans` plan, in file order, of each of the head's rules whose lhs
+    argument roots fit: a pattern variable fits anything, a pattern term
+    only that head.  Compiled systems carry hundreds of rules, most ruled
+    out here by one lookup, and a rule is compiled when a key first fits it."""
     index = trs.memo.get("rule_index")
     if index is None:
         index = trs.memo["rule_index"] = _RuleIndex(trs)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from consfree import __version__
+from consfree import __version__, engine
 from consfree.cli import main
 from consfree.fmt import parse_trs, print_trs
 
@@ -295,6 +295,18 @@ def test_run_prints_deep_terms(capsys, tmp_path):
     lines = out.splitlines()
     assert len(lines) == 1201
     assert lines[-1] == f"result: {'f(' * 1201}a{')' * 1201}"
+
+
+def test_run_replays_its_trace_once(capsys, tmp_path, monkeypatch):
+    # the printed trace and the result come from one replay: one match a step
+    src = tmp_path / "grow.trs"
+    src.write_text("(VAR x)(RULES f(x) -> f(f(x)) g(a) -> a)\n")
+    calls = []
+    original = engine.match
+    monkeypatch.setattr(engine, "match", lambda p, s: calls.append(p) or original(p, s))
+    code, out, _ = run(capsys, "run", str(src), "f(a)", "--max-steps", "40")
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) - 1 == 40
 
 
 def test_run_bad_term(capsys):

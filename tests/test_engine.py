@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from consfree import terms
 from consfree.analysis import b_safe_terms, compute_b, is_b_safe
 from consfree.engine import (
     Budget,
@@ -30,6 +31,7 @@ from consfree.terms import (
     replace_at,
     subterm_at,
 )
+from consfree.tabulation import decide
 from consfree.transforms import bottom_extend, semi_linearize
 
 from conftest import ROOT, load_system
@@ -337,16 +339,41 @@ def test_accepts():
     assert accepts(mem, "0000", budget=Budget(max_terms=2)) == "unknown"
 
 
+def test_both_engines_run_one_plan_per_rule(monkeypatch):
+    # the table and the oracle run the plan `rule_plans` compiles once
+    mem = load_system("membership")
+    compiled = []
+    original = terms.head_tests
+    monkeypatch.setattr(
+        terms, "head_tests", lambda lhs: compiled.append(lhs) or original(lhs)
+    )
+    decide(mem, "0110")
+    plans = dict(terms.rule_plans(mem))
+    data_results(mem, [encode_input("0110")], "cbv")
+    assert plans
+    assert len(compiled) == len({id(lhs) for lhs in compiled}) <= len(mem.rules)
+    assert all(terms.rule_plans(mem)[i] is plan for i, plan in plans.items())
+
+
+def test_oracle_reuses_matched_subterms():
+    # an rhs piece equal to an lhs piece is the subject's own object
+    trs = parse_trs("(VAR x xs)(RULES f(cons(x, xs)) -> g(cons(x, xs)) g(nil) -> a)")
+    t = parse_term("f(cons(a, nil))", trs)
+    (step,) = step_full(trs, t)
+    assert format_term(step.after) == "g(cons(a, nil))"
+    assert step.after.args[0] is t.args[0]
+
+
 def test_leftmost_trace_and_render():
     mem = load_system("membership")
     start = parse_term("start(cons(0, cons(1, nil)))", mem)
     trace = leftmost_trace(mem, start)
-    assert trace.render(mem) == (
+    terms = trace.terms(mem)
+    assert trace.render(terms) == (
         "e 0 mem(cons(0, cons(1, nil)))\n"
         "e 2 mem(cons(1, nil))\n"
         "e 3 false"
     )
-    terms = trace.terms(mem)
     assert format_term(terms[-1]) == "false"
     assert len(terms) == 4
 
@@ -363,14 +390,14 @@ def test_leftmost_trace_max_steps():
     loop = load_system("loop42")
     trace = leftmost_trace(loop, parse_term("a", loop), max_steps=7)
     assert len(trace.steps) == 7
-    assert trace.render(loop).count("\n") == 6
+    assert trace.render(trace.terms(loop)).count("\n") == 6
 
 
 def test_empty_trace_on_normal_form():
     mem = load_system("membership")
     trace = leftmost_trace(mem, parse_term("nil", mem))
     assert trace.steps == ()
-    assert trace.render(mem) == ""
+    assert trace.render(trace.terms(mem)) == ""
 
 
 def test_reductions_stay_b_safe():

@@ -1,8 +1,9 @@
 """Every name a module under src/consfree imports is used in that module,
 and every private module-level name, nested function, private method and
 private `self._x` attribute it defines is read in that module.  No function
-calls itself, and outside `fmt.py` no module names a decision-interface
-symbol by a string literal.
+calls itself, outside `fmt.py` no module names a decision-interface symbol by
+a string literal, and outside `terms.py` no module compiles a rule by
+calling `head_tests`.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -236,3 +237,33 @@ def test_interface_literal_checker_flags_literals():
 )
 def test_decision_interface_named_only_in_fmt(path):
     assert interface_literals(path.read_text(encoding="utf-8")) == []
+
+
+def head_tests_calls(source: str) -> list[str]:
+    """Calls of `head_tests`, bare or as an attribute: `terms.rule_plans`
+    compiles each rule once for the table and the oracle alike."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if (isinstance(f, ast.Name) and f.id == "head_tests") or (
+                    isinstance(f, ast.Attribute) and f.attr == "head_tests"):
+                found.append(f"head_tests (line {n.lineno})")
+    return found
+
+
+def test_head_tests_call_checker_flags_calls():
+    src = (
+        "tests, pats = head_tests(rule.lhs)\n"
+        "other = terms.head_tests(lhs)\n"
+        "alias = head_tests\n"
+        "plan = rule_plans(trs)[i]\n"
+    )
+    assert head_tests_calls(src) == ["head_tests (line 1)", "head_tests (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "terms.py"], ids=lambda p: p.name
+)
+def test_rules_compiled_only_in_terms(path):
+    assert head_tests_calls(path.read_text(encoding="utf-8")) == []

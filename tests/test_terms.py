@@ -26,6 +26,7 @@ from consfree.terms import (
     positions,
     replace_at,
     rule_index,
+    rule_plans,
     same_rules,
     size,
     subterm_at,
@@ -242,14 +243,20 @@ def test_rule_index_fits_argument_heads():
     trs = Trs(rules)
     index = rule_index(trs)
     assert rule_index(trs) is index  # memoized per system
-    assert index[(h, (NIL, CONS))] == (0, 2, 3)
-    assert index[(h, (NIL, NIL))] == (0, 3)
-    assert index[(h, (CONS, NIL))] == (3, 4)
-    assert index[(h, (ZERO, ZERO))] == (3,)
-    assert index[(h, (None, CONS))] == (2, 3)  # a variable fits only a variable
-    assert index[(F, (ZERO,))] == (1,)
+
+    def fits(key):
+        return tuple(i for i, _ in index[key])
+
+    assert fits((h, (NIL, CONS))) == (0, 2, 3)
+    assert fits((h, (NIL, NIL))) == (0, 3)
+    assert fits((h, (CONS, NIL))) == (3, 4)
+    assert fits((h, (ZERO, ZERO))) == (3,)
+    assert fits((h, (None, CONS))) == (2, 3)  # a variable fits only a variable
+    assert fits((F, (ZERO,))) == (1,)
     # a symbol of the same name but another arity heads none of the rules
-    assert index[(Symbol("h", 1, Kind.DEFINED), (NIL,))] == ()
+    assert fits((Symbol("h", 1, Kind.DEFINED), (NIL,))) == ()
+    # each fitting rule comes with its one plan
+    assert all(p is rule_plans(trs)[i] for i, p in index[(h, (NIL, CONS))])
 
 
 def test_head_tests_walk_child_paths():
