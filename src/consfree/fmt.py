@@ -245,11 +245,10 @@ def parse_term(src: str, trs: Trs) -> Term:
     parser = _Parser(src)
     nodes = parser.term()
     parser.take("eof", "end of term")
-    by_name = {s.name: s for s in trs.signature}
 
     def resolve(r: Raw) -> Symbol:
         name, count, offset = r
-        sym = by_name.get(name)
+        sym = trs.by_name.get(name)
         if sym is None:
             raise _error(src, f"unknown symbol {name}", offset, name)
         if sym.arity != count:
@@ -278,9 +277,8 @@ def has_decision_interface(trs: Trs) -> bool:
 
 
 def require_decision_interface(trs: Trs) -> None:
-    by_name = {s.name: s for s in trs.signature}
     for sym in DECISION_INTERFACE:
-        got = by_name.get(sym.name)
+        got = trs.by_name.get(sym.name)
         if got is None:
             raise ValueError(f"decision interface symbol {sym} missing")
         if got is not sym:

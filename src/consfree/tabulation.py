@@ -136,7 +136,7 @@ class ConfirmedTable:
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
 
     def yes_set(self, symbol: str, args: tuple[Term, ...]) -> frozenset[Term]:
-        sym = next((s for s in self.trs.signature if s.name == symbol), None)
+        sym = self.trs.by_name.get(symbol)
         mask = self.entries.get((sym, tuple(self.b.index[a] for a in args)), 0)
         return frozenset(self.b.items[i] for i in _bits(mask))
 

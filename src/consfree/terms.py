@@ -325,10 +325,11 @@ class Trs:
     `extra` (a defined symbol may have no rules), sorted by name.  Kinds are
     taken as given.  Raises ValueError when one name stands for two symbols.
 
-    `by_head` maps each head symbol to its `(index, rule)` pairs in file order.
+    `by_head` maps each head symbol to its `(index, rule)` pairs in file order,
+    and `by_name` each symbol's name to the symbol.
     `memo` holds facts other modules compute once per system because they do
     not depend on the input (the cons-free verdict, the right-hand-side data
-    pool, ...).  Both live and die with this object and take no part in
+    pool, ...).  All three live and die with this object and take no part in
     equality, so two equal systems never share a memo.
     """
 
@@ -338,10 +339,13 @@ class Trs:
     by_head: dict[Symbol, tuple[tuple[int, Rule], ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
+    by_name: dict[str, Symbol] = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
     memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self, extra: tuple[Symbol, ...]) -> None:
-        seen: dict[str, Symbol] = {}
+        by_name = self.by_name
         by_head: dict[Symbol, list[tuple[int, Rule]]] = {}
         for i, rule in enumerate(self.rules):
             lhs = rule.lhs
@@ -359,7 +363,7 @@ class Trs:
                         names.add(t.name)
                     else:
                         head = t.head
-                        if seen.setdefault(head.name, head) is not head:
+                        if by_name.setdefault(head.name, head) is not head:
                             raise ValueError(f"inconsistent uses of symbol {head.name}")
                         todo.extend(t.args)
                 sides.append(names)
@@ -371,16 +375,14 @@ class Trs:
                 )
             by_head.setdefault(lhs.head, []).append((i, rule))
         for s in extra:
-            if seen.setdefault(s.name, s) is not s:
+            if by_name.setdefault(s.name, s) is not s:
                 raise ValueError(f"inconsistent uses of symbol {s.name}")
-        object.__setattr__(self, "signature", tuple(seen[n] for n in sorted(seen)))
+        signature = tuple(by_name[n] for n in sorted(by_name))
+        object.__setattr__(self, "signature", signature)
         self.by_head.update({head: tuple(pairs) for head, pairs in by_head.items()})
 
     def symbol(self, name: str) -> Symbol:
-        for s in self.signature:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self.by_name[name]
 
     def defined(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.signature if s.kind is Kind.DEFINED)

@@ -40,6 +40,10 @@ from .fmt import DECISION_INTERFACE, IDENT_CHARS
 from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
 
 _MOVES = ("L", "R", "S")
+# every key but delta, which may repeat; all are required but clock-degree
+_KEYS = (
+    "states", "start", "accept", "reject", "blank", "tape-alphabet", "clock-degree"
+)
 
 
 class TmParseError(ValueError):
@@ -94,22 +98,14 @@ def parse_tm(text: str) -> TmSpec:
         if key == "delta":
             delta_lines.append((lineno, value))
             continue
-        if key not in (
-            "states",
-            "start",
-            "accept",
-            "reject",
-            "blank",
-            "tape-alphabet",
-            "clock-degree",
-        ):
+        if key not in _KEYS:
             raise TmParseError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise TmParseError(f"line {lineno}: duplicate {key!r} line")
         fields[key] = (lineno, value)
 
-    for req in ("states", "start", "accept", "reject", "blank", "tape-alphabet"):
-        if req not in fields:
+    for req in _KEYS:
+        if req not in fields and req != "clock-degree":
             raise TmParseError(f"missing {req!r} line")
 
     states = _idents(fields["states"][1], "state", fields["states"][0])
@@ -363,30 +359,22 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
             for i, s in enumerate(shapes)
         ]
 
-    def minus_one(tpats: list[Term]) -> list[Term]:
-        return [_ap(pred[td - 1 - i], W, *tpats[i:]) for i in range(td)]
-
-    def head_vec(prev: list[Term]) -> list[Term]:
-        return [_ap(head[pd - 1 - i], W, *prev) for i in range(pd)]
-
-    nonzero = [
-        shapes
-        for shapes in itertools.product((0, 1), repeat=td)
-        if any(shapes)
-    ]
+    # one entry per time t > 0: its digit patterns, the digits of t - 1 and
+    # the head digits after t - 1 steps (most significant first), and the
+    # state and symbol that step t - 1 reads; st, rd and headJ at t each
+    # apply delta to that one read
+    steps = []
+    for shapes in list(itertools.product((0, 1), repeat=td))[1:]:  # skip t = 0
+        tpats = patterns("t", shapes)
+        prev = [_ap(pred[td - 1 - i], W, *tpats[i:]) for i in range(td)]
+        heads = [_ap(head[pd - 1 - i], W, *prev) for i in range(pd)]
+        read = (_ap(st, W, *prev), _ap(rd, W, *prev, *heads))
+        steps.append((tpats, prev, heads, read))
 
     # st(w, t): machine state after t steps
     rules.append(Rule(_ap(st, W, *ZEROS_T), _ap(stc[tm.start_state])))
-    for shapes in nonzero:
-        tpats = patterns("t", shapes)
-        prev = minus_one(tpats)
-        heads = head_vec(prev)
-        rules.append(
-            Rule(
-                _ap(st, W, *tpats),
-                _ap(stx, _ap(st, W, *prev), _ap(rd, W, *prev, *heads)),
-            )
-        )
+    for tpats, _, _, read in steps:
+        rules.append(Rule(_ap(st, W, *tpats), _ap(stx, *read)))
 
     # rd(w, 0, p): the initial tape; input cell i sits at position
     # (n+1)^(k+1) + i, whose digits are (1, 0, ..., 0, i)
@@ -406,11 +394,8 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
             rules.append(Rule(_ap(rd, W, *ZEROS_T, top_shapes[top], *mpats, p0), rhs))
 
     # rd(w, t, p), t > 0: rewritten by the head, otherwise carried over
-    for shapes in nonzero:
-        tpats = patterns("t", shapes)
-        prev = minus_one(tpats)
-        heads = head_vec(prev)
-        written = _ap(wrx, _ap(st, W, *prev), _ap(rd, W, *prev, *heads))
+    for tpats, prev, _, read in steps:
+        written = _ap(wrx, *read)
         for pshapes in itertools.product((0, 1), repeat=pd):
             ppats = patterns("p", pshapes)
             rules.append(
@@ -443,11 +428,8 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     for j in range(pd):
         at_zero = _ap(lst, W) if j == pd - 1 else NIL
         rules.append(Rule(_ap(head[j], W, *ZEROS_T), at_zero))
-    for shapes in nonzero:
-        tpats = patterns("t", shapes)
-        prev = minus_one(tpats)
-        heads = head_vec(prev)
-        move = _ap(mvx, _ap(st, W, *prev), _ap(rd, W, *prev, *heads))
+    for tpats, _, heads, read in steps:
+        move = _ap(mvx, *read)
         for j in range(pd):
             low = heads[pd - 1 - j :]
             rules.append(

@@ -1,13 +1,22 @@
+import hashlib
+import random
 import warnings
 
 import pytest
 
 from consfree.analysis import check_cons_free, check_semi_linear
 from consfree.engine import reachable_data
-from consfree.fmt import DECISION_INTERFACE, has_decision_interface, parse_term
-from consfree.tabulation import decide
-from consfree.terms import format_term
-from consfree.tm import TmParseError, compile_tm, parse_tm, simulate_tm
+from consfree.fmt import (
+    DECISION_INTERFACE,
+    START,
+    encode_input,
+    has_decision_interface,
+    parse_term,
+    print_trs,
+)
+from consfree.tabulation import decide, nf, run_tabulation
+from consfree.terms import apply, format_term, match
+from consfree.tm import TmParseError, TmSpec, compile_tm, parse_tm, simulate_tm
 
 from conftest import load_machine
 
@@ -214,3 +223,94 @@ def test_compiled_agrees_with_simulation_small():
             want = simulate_tm(tm, bits, tm.fuel(n)) == "accept"
             got, _ = decide(compiled.trs, bits, mode="demand")
             assert got == want, bits
+
+
+def test_compiled_text_is_pinned():
+    """The compiled systems, byte for byte: a refactor of compile_tm must
+    not change what it prints."""
+    digests = {
+        "parity": "f8f0771afbc92eeb330899b20fbc1ccaa4daa0a6b05056cc6c150b115b9b47a2",
+        "contains11": "ddcce32d8da3d36f25ddda273027307eac44da4296706191232619ca6dcde5c6",
+        "square": "186563f55857aebba0c807db24e0f3fcea6f09ee27ff90827dc83d72217fbe0e",
+    }
+    for name, want in digests.items():
+        text = print_trs(compile_tm(load_machine(name)).trs)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
+def random_machine(rng: random.Random, degree: int, halting: bool) -> TmSpec:
+    """A machine with 2-4 working states q0, q1, ... over tape symbols 0 1 _.
+
+    With `halting`, delta may enter qa (accept) or qr (reject), and about one
+    working pair in ten is left unlisted, so it rejects in place.  Without
+    it, delta is total on the working states and never leaves them, so no
+    run halts before the clock."""
+    work = [f"q{i}" for i in range(rng.randint(2, 4))]
+    targets = work + ["qa", "qr"] if halting else work
+    lines = [
+        f"states: {' '.join(work)} qa qr",
+        "start: q0",
+        "accept: qa",
+        "reject: qr",
+        "blank: _",
+        "tape-alphabet: 0 1 _",
+        f"clock-degree: {degree}",
+    ]
+    for q in work:
+        for s in "01_":
+            if halting and rng.random() < 0.1:
+                continue
+            q2, s2, move = rng.choice(targets), rng.choice("01_"), rng.choice("LRS")
+            lines.append(f"delta: {q} {s} -> {q2} {s2} {move}")
+    return parse_tm("\n".join(lines))
+
+
+def run_steps(tm: TmSpec, bits: str, steps: int) -> str:
+    """The state after exactly `steps` steps."""
+    tape = dict(enumerate(bits))
+    state, pos = tm.start_state, 0
+    shift = {"L": -1, "R": 1, "S": 0}
+    for _ in range(steps):
+        state, tape[pos], move = tm.delta[(state, tape.get(pos, tm.blank))]
+        pos += shift[move]
+    return state
+
+
+INPUTS_UP_TO_4 = [
+    format(i, f"0{n}b") if n else "" for n in range(5) for i in range(2**n)
+]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_compiled_verdicts_on_random_machines(degree):
+    rng = random.Random(degree)
+    for _ in range(10):
+        tm = random_machine(rng, degree, halting=True)
+        trs = compile_tm(tm).trs
+        for bits in INPUTS_UP_TO_4:
+            want = simulate_tm(tm, bits, tm.fuel(len(bits))) == "accept"
+            got, _ = decide(trs, bits, mode="demand")
+            assert got == want, (sorted(tm.delta.items()), bits)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_compiled_state_at_the_exact_clock(degree):
+    """The state the driver reads is the state after exactly T(n) steps.
+
+    A verdict cannot tell a clock one step short when no run halts near
+    the clock, so this reads the `st(w, clock)` argument of the driver
+    rule `start(cons(x, xs)) -> sx(st(...))` on machines that never halt."""
+    rng = random.Random(100 + degree)
+    for _ in range(10):
+        tm = random_machine(rng, degree, halting=False)
+        trs = compile_tm(tm).trs
+        (driver,) = [r for _, r in trs.by_head[START] if r.lhs.args[0].args]
+        for bits in INPUTS_UP_TO_4[1:]:
+            w = encode_input(bits)
+            clocked = apply(match(driver.lhs, w), driver.rhs.args[0])
+            got = nf(run_tabulation(trs, w, "demand"), clocked)
+            want = run_steps(tm, bits, tm.fuel(len(bits)))
+            assert {format_term(t) for t in got} == {f"st_{want}"}, (
+                sorted(tm.delta.items()),
+                bits,
+            )
