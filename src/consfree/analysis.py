@@ -27,6 +27,7 @@ from .terms import (
     format_term,
     is_constructor_term,
     is_data,
+    per_system,
     rhs_data,
     subterms,
 )
@@ -61,13 +62,11 @@ def check_cons_free(trs: Trs) -> list[Violation]:
 
     Computed once per system; every call returns a fresh list.
     """
-    found = trs.memo.get("violations")
-    if found is None:
-        found = trs.memo["violations"] = tuple(_violations(trs))
-    return list(found)
+    return list(_violations(trs))
 
 
-def _violations(trs: Trs) -> list[Violation]:
+@per_system
+def _violations(trs: Trs) -> tuple[Violation, ...]:
     out: list[Violation] = []
     for i, rule in enumerate(trs.rules):
         lhs = rule.lhs
@@ -84,15 +83,13 @@ def _violations(trs: Trs) -> list[Violation]:
                 if is_data(t) or t in lhs_strict:
                     continue
                 out.append(Violation(i, 3, t))
-    return out
+    return tuple(out)
 
 
 def require_cons_free(trs: Trs) -> None:
     violations = check_cons_free(trs)
     if violations:
-        raise NotConsFreeError(
-            "not cons-free: " + "; ".join(v.describe(trs) for v in violations)
-        )
+        raise NotConsFreeError("; ".join(v.describe(trs) for v in violations))
 
 
 def dv(lhs: App) -> set[str]:

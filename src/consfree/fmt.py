@@ -33,9 +33,7 @@ from .terms import (
     variables,
 )
 
-IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
-)
+IDENT = re.compile(r"[A-Za-z0-9_']+")
 
 START = Symbol("start", 1, Kind.DEFINED)
 CONS = Symbol("cons", 2, Kind.CONSTRUCTOR)
@@ -63,7 +61,7 @@ class ParseError(Exception):
 
 # groups: identifier, punctuation, comment, any other character; whitespace
 # matches no group
-_TOKEN = re.compile(r"([A-Za-z0-9_']+)|(->|[(),])|[ \t\r\n]+|(;[^\n]*)|(.)")
+_TOKEN = re.compile(rf"({IDENT.pattern})|(->|[(),])|[ \t\r\n]+|(;[^\n]*)|(.)")
 
 # (kind, text, offset): kind is "id", "eof" or the punctuation itself
 Token = tuple[str, str, int]

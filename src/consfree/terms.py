@@ -11,9 +11,10 @@ All functions here are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence, TypeVar
 
 
 class Kind(Enum):
@@ -327,10 +328,11 @@ class Trs:
 
     `by_head` maps each head symbol to its `(index, rule)` pairs in file order,
     and `by_name` each symbol's name to the symbol.
-    `memo` holds facts other modules compute once per system because they do
-    not depend on the input (the cons-free verdict, the right-hand-side data
-    pool, ...).  All three live and die with this object and take no part in
-    equality, so two equal systems never share a memo.
+    `memo` holds, for each function decorated with `per_system`, its result
+    on this system: facts computed once because they do not depend on the
+    input (the cons-free verdict, the right-hand-side data pool, ...).  All
+    three live and die with this object and take no part in equality, so two
+    equal systems never share a memo.
     """
 
     rules: tuple[Rule, ...]
@@ -391,15 +393,30 @@ class Trs:
         return tuple(s for s in self.signature if s.kind is Kind.CONSTRUCTOR)
 
 
+_T = TypeVar("_T")
+
+
+def per_system(compute: Callable[[Trs], _T]) -> Callable[[Trs], _T]:
+    """`compute(trs)`, run once per `Trs` object: the result is kept in that
+    object's `memo`, keyed by `compute`.  Equal systems built separately
+    share nothing."""
+
+    def cached(trs: Trs) -> _T:
+        try:
+            return trs.memo[compute]
+        except KeyError:
+            value = trs.memo[compute] = compute(trs)
+            return value
+
+    return functools.wraps(compute)(cached)
+
+
+@per_system
 def rhs_data(trs: Trs) -> tuple[Term, ...]:
-    """Data subterms of the right-hand sides in file order, each once, kept
-    in `trs.memo`."""
-    pool = trs.memo.get("rhs_data")
-    if pool is None:
-        pool = trs.memo["rhs_data"] = tuple(
-            dict.fromkeys(s for r in trs.rules for s in subterms(r.rhs) if s.is_data)
-        )
-    return pool
+    """Data subterms of the right-hand sides in file order, each once."""
+    return tuple(
+        dict.fromkeys(s for r in trs.rules for s in subterms(r.rhs) if s.is_data)
+    )
 
 
 class _RulePlans(dict):
@@ -441,10 +458,11 @@ class _RulePlans(dict):
         return plan
 
 
+@per_system
 def rule_plans(trs: Trs) -> dict[int, tuple]:
     """Each rule compiled once per system, on its first lookup by rule index,
-    into the one plan that both the oracle and the table run, kept in
-    `trs.memo`.  A plan is (tests, eqs, consts, pool slots, nodes, top).
+    into the one plan that both the oracle and the table run.  A plan is
+    (tests, eqs, consts, pool slots, nodes, top).
 
     `tests` are the lhs's `head_tests`; `eqs` pairs the registers that hold
     one repeated lhs variable, which must hold equal terms.  The rhs is built
@@ -455,10 +473,7 @@ def rule_plans(trs: Trs) -> dict[int, tuple]:
     to an lhs argument subterm (a variable among them) is that subterm's
     first register, and every other subterm is a node.  So on a cons-free
     system every node is headed by a defined symbol."""
-    plans = trs.memo.get("rule_plans")
-    if plans is None:
-        plans = trs.memo["rule_plans"] = _RulePlans(trs)
-    return plans
+    return _RulePlans(trs)
 
 
 class _RuleIndex(dict):
@@ -481,18 +496,16 @@ class _RuleIndex(dict):
         return hit
 
 
+@per_system
 def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[tuple[int, tuple], ...]]:
     """The system's argument-head index (after Graf's substitution trees),
-    kept in `trs.memo`.  A key is a head symbol and the head symbols of its
+    one per system.  A key is a head symbol and the head symbols of its
     arguments' roots (None for a variable); its value holds the index and
     `rule_plans` plan, in file order, of each of the head's rules whose lhs
     argument roots fit: a pattern variable fits anything, a pattern term
     only that head.  Compiled systems carry hundreds of rules, most ruled
     out here by one lookup, and a rule is compiled when a key first fits it."""
-    index = trs.memo.get("rule_index")
-    if index is None:
-        index = trs.memo["rule_index"] = _RuleIndex(trs)
-    return index
+    return _RuleIndex(trs)
 
 
 def head_tests(lhs: App) -> tuple[tuple[tuple[int, Symbol], ...], list[Term]]:

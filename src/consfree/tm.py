@@ -36,7 +36,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .fmt import DECISION_INTERFACE, IDENT_CHARS
+from .fmt import DECISION_INTERFACE, IDENT
 from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
 
 _MOVES = ("L", "R", "S")
@@ -77,7 +77,7 @@ def _idents(value: str, what: str, lineno: int) -> list[str]:
     if not names:
         raise TmParseError(f"line {lineno}: empty {what} list")
     for name in names:
-        if not IDENT_CHARS.issuperset(name):
+        if not IDENT.fullmatch(name):
             raise TmParseError(f"line {lineno}: bad {what} name {name!r}")
     if len(set(names)) != len(names):
         raise TmParseError(f"line {lineno}: duplicate {what} name")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .analysis import check_constrained, require_cons_free
 from .engine import Oracle
@@ -94,6 +95,12 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
     because the benchmark (`perfbench/`) calls `phi` with three positional
     arguments, and dropping it means changing that call in the same change.
     """
+    return _widen(counts, t, {})
+
+
+def _widen(counts: CountTable, t: Term, copies: dict[str, Iterator[Var]]) -> Term:
+    """`phi`'s walk.  A variable named in `copies` takes the next of its
+    copies, so in pre-order its first occurrence takes the first copy."""
     order: list = []  # pre-order for `build`: widened heads, leaves, copy counts
     todo: list = [t]
     while todo:
@@ -101,12 +108,14 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
         if isinstance(u, int) or u.is_data:
             order.append(u)
         elif isinstance(u, App) and u.head.kind is Kind.DEFINED:
-            head, copies = counts.widen(u.head)
+            head, widths = counts.widen(u.head)
             order.append(head)
-            for a, k in zip(reversed(u.args), reversed(copies)):
+            for a, k in zip(reversed(u.args), reversed(widths)):
                 todo.append(a)
                 if k > 1:
                     todo.append(k)
+        elif isinstance(u, Var):
+            order.append(next(copies[u.name]) if u.name in copies else u)
         elif is_constructor_term(u):
             order.append(u)
         else:
@@ -138,10 +147,12 @@ def semi_linearize(trs: Trs) -> Trs:
     """Widen duplicated arguments until every rule is semi-linear.
 
     Requires a constrained system (check_constrained passes); raises
-    NotConstrainedError otherwise.  When the system carries the decision
-    interface, wrapper rules start'(c(...)) -> phi(start(c(...))) are added
-    for every constructor so bit-string inputs can still be injected without
-    the caller having to apply phi.
+    NotConstrainedError otherwise.  Each right-hand side goes once through
+    `phi`'s walk, which also hands a direct variable's later occurrences, in
+    pre-order, its fresh copies (`y__2`, ...).  When the system carries the
+    decision interface, wrapper rules start'(c(...)) -> phi(start(c(...)))
+    are added for every constructor so bit-string inputs can still be
+    injected without the caller having to apply phi.
     """
     check_constrained(trs)
     counts = compute_counts(trs)
@@ -149,35 +160,18 @@ def semi_linearize(trs: Trs) -> Trs:
     new_rules: list[Rule] = []
     for rule in trs.rules:
         lhs = rule.lhs
-        used = variables(lhs) | variables(rule.rhs) | names
+        used = variables(lhs) | names
         head, widths = counts.widen(lhs.head)
         new_args: list[Term] = []
-        copies: dict[str, list[str]] = {}
+        copies: dict[str, Iterator[Var]] = {}
         for i, (arg, k) in enumerate(zip(lhs.args, widths), start=1):
-            new_args.append(arg)
             base = arg.name if isinstance(arg, Var) else f"x{i}"
-            extras = [_fresh(f"{base}__{j}", used) for j in range(2, k + 1)]
-            new_args.extend(Var(x) for x in extras)
+            extras = [Var(_fresh(f"{base}__{j}", used)) for j in range(2, k + 1)]
+            new_args += [arg, *extras]
             if isinstance(arg, Var):
-                copies[arg.name] = [arg.name, *extras]
-        # pre-order: first occurrence keeps its name, later ones take copies
-        taken: dict[str, int] = {}
-        order: list[Term | Symbol] = []
-        todo = [rule.rhs]
-        while todo:
-            u = todo.pop()
-            if isinstance(u, Var) and u.name in copies:
-                k = taken.get(u.name, 0)
-                taken[u.name] = k + 1
-                order.append(Var(copies[u.name][k]))
-            elif isinstance(u, App) and not u.is_data:
-                order.append(u.head)
-                todo.extend(reversed(u.args))
-            else:
-                order.append(u)
-
-        new_lhs = App(head, tuple(new_args))
-        new_rules.append(Rule(new_lhs, phi(trs, counts, build(order))))
+                copies[arg.name] = iter([arg, *extras])
+        new_rhs = _widen(counts, rule.rhs, copies)
+        new_rules.append(Rule(App(head, tuple(new_args)), new_rhs))
 
     extra = [counts.widen(s)[0] for s in trs.defined() if s not in trs.by_head]
     if has_decision_interface(trs):

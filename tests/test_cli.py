@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from consfree import __version__, engine
+from consfree import __version__, cli, engine
 from consfree.cli import main
 from consfree.fmt import parse_trs, print_trs
+from consfree.terms import Trs
+from consfree.transforms import bottom_extend
 
 from conftest import CORPUS, MACHINES, ROOT
 
@@ -355,6 +357,45 @@ def test_transform_not_constrained(capsys, tmp_path):
     assert err.startswith("not constrained:")
 
 
+def test_transform_verify_reports_each_failure(capsys, monkeypatch):
+    def drop_a_bot(trs):  # bottom_extend without the escape rule of a
+        out = bottom_extend(trs)
+        return Trs(tuple(r for r in out.rules if str(r) != "a -> bot"), out.signature)
+
+    monkeypatch.setattr(cli, "bottom_extend", drop_a_bot)
+    code, out, err = run(capsys, "transform", LOOP, "--pass", "bottom",
+                         "--verify", "2")
+    assert code == 1
+    assert "f(x1) -> bot" in out and "a -> bot" not in out
+    assert err.splitlines() == [
+        "verify[bottom]: f(a): {b} != {}",
+        "verify: FAILED",
+    ]
+
+
+NOT_CONS_FREE = (
+    "(VAR x xs)(RULES start(xs) -> f(cons(0, xs)) f(cons(x, xs)) -> true "
+    "f(nil) -> false g(1) -> false)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decide", "01"], ["bench", "--sizes", "2"], ["transform", "--pass", "both"]],
+    ids=lambda argv: argv[0],
+)
+def test_not_cons_free_is_reported_once(capsys, tmp_path, argv):
+    src = tmp_path / "builds.trs"
+    src.write_text(NOT_CONS_FREE)
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "not cons-free: rule 0 (start(xs) -> f(cons(0, xs))): right-hand side "
+        "builds new data at cons(0, xs)\n"
+    )
+
+
 def test_compile_tm_to_stdout(capsys):
     code, out, _ = run(capsys, "compile-tm", PARITY)
     assert code == 0
@@ -392,6 +433,14 @@ def test_compile_tm_selftest(capsys):
     code, out, _ = run(capsys, "compile-tm", PARITY, "--selftest", "3")
     assert code == 0
     assert out.splitlines()[-1] == "15/15 inputs agree"
+
+
+def test_compile_tm_selftest_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate_tm", lambda tm, bits, fuel: "reject")
+    code, out, _ = run(capsys, "compile-tm", PARITY, "--selftest", "3")
+    assert code == 1
+    agree, total = out.splitlines()[-1].split()[0].split("/")
+    assert total == "15" and int(agree) < 15
 
 
 def test_compile_tm_rejects_high_degree(capsys, tmp_path):
@@ -451,6 +500,13 @@ def test_bench_bad_sizes(capsys):
         assert code == 2, sizes
         assert "bad --sizes" in err, sizes
         assert out == "", sizes
+
+
+def test_bench_needs_a_size(capsys):
+    code, out, err = run(capsys, "bench", MEM, "--sizes", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "at least one size is required\n"
 
 
 def test_version_flag(capsys):

@@ -136,6 +136,13 @@ def test_parse_term():
         parse_term("nil nil", trs)
 
 
+def test_empty_argument_list_is_a_constant():
+    trs = parse_trs("(VAR)(RULES f() -> a g(f()) -> f())")
+    assert trs == parse_trs("(VAR)(RULES f -> a g(f) -> f)")
+    assert trs.symbol("f").arity == 0
+    assert parse_term("g(f())", trs) == parse_term("g(f)", trs)
+
+
 def test_encode_input():
     assert format_term(encode_input("")) == "start(nil)"
     assert format_term(encode_input("01")) == "start(cons(0, cons(1, nil)))"

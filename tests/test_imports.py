@@ -3,7 +3,7 @@ and every private module-level name, nested function, private method and
 private `self._x` attribute it defines is read in that module.  No function
 calls itself, outside `fmt.py` no module names a decision-interface symbol by
 a string literal, and outside `terms.py` no module compiles a rule by
-calling `head_tests`.
+calling `head_tests` or reads a `.memo` other than its own `self.memo`.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -267,3 +267,30 @@ def test_head_tests_call_checker_flags_calls():
 )
 def test_rules_compiled_only_in_terms(path):
     assert head_tests_calls(path.read_text(encoding="utf-8")) == []
+
+
+def memo_reads(source: str) -> list[str]:
+    """`.memo` read off anything but `self`: a system's memo is filled only
+    by `terms.per_system`, one entry per decorated function."""
+    lines = sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == "memo" and not (
+            isinstance(n.value, ast.Name) and n.value.id == "self"))
+    return [f"memo (line {line})" for line in lines]
+
+
+def test_memo_read_checker_flags_reads_off_other_objects():
+    src = (
+        'pool = trs.memo.get("x")\n'
+        "hit = self.memo.get(u)\n"
+        'oracle.trs.memo["y"] = 1\n'
+        "memo = {}\n"
+    )
+    assert memo_reads(src) == ["memo (line 1)", "memo (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "terms.py"], ids=lambda p: p.name
+)
+def test_system_memo_read_only_in_terms(path):
+    assert memo_reads(path.read_text(encoding="utf-8")) == []

@@ -62,6 +62,12 @@ def test_run_tabulation_requires_cons_free():
             run_tabulation(trs, parse_term("f(nil)", trs))
 
 
+def test_run_tabulation_rejects_unknown_mode():
+    loop = load_system("loop42")
+    with pytest.raises(ValueError, match="unknown tabulation mode 'x'"):
+        run_tabulation(loop, parse_term("f(a)", loop), mode="x")
+
+
 def test_repeat_runs_on_one_system_are_identical():
     # what is kept per system must not change a later run on the same object:
     # each run on `warm` must equal a run on a freshly built copy

@@ -23,6 +23,7 @@ from consfree.terms import (
     is_constructor_term,
     is_data,
     match,
+    per_system,
     positions,
     replace_at,
     rule_index,
@@ -229,6 +230,23 @@ def test_rules_for():
     trs = Trs(rules)
     indexed = trs.by_head[trs.symbol("f")]
     assert [i for i, _ in indexed] == [0, 2]
+
+
+def test_per_system_computes_once_per_object():
+    calls = []
+
+    @per_system
+    def heads(trs):
+        calls.append(trs)
+        return tuple(trs.by_head)
+
+    rules = (Rule(App(F, (Var("x"),)), Var("x")),)
+    a, b = Trs(rules), Trs(rules)
+    assert a == b
+    assert heads(a) == (F,)
+    assert heads(a) is heads(a)
+    assert heads(b) == (F,)
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b  # equal, not shared
 
 
 def test_rule_index_fits_argument_heads():

@@ -179,3 +179,12 @@ def test_verify_bottom_extension_catches_missing_rules():
     problems = verify_bottom_extension(full(loop), cbv(pruned), [fa])
     assert len(problems) == 1
     assert "f(a)" in problems[0]
+
+
+def test_verifiers_report_a_cut_search():
+    loop = load_system("loop42")
+    fa = parse_term("f(a)", loop)
+    tight = Oracle(loop, "full", Budget(max_terms=1))
+    assert verify_bottom_extension(tight, cbv(bottom_extend(loop)), [fa]) == [
+        "f(a): oracle budget exhausted"
+    ]
