@@ -8,7 +8,7 @@ result saying honestly whether the search completed; `data_results` is many
 unbudgeted starts.
 
 A step never calls `match` or `apply`.  It runs the rule plans that
-`terms.rule_plans` compiles once per system, the same plans the table runs:
+`terms.rule_index` compiles once per system, the same plans the table runs:
 head tests, equality tests for a repeated lhs variable, and a post-order
 builder of the rhs over the matched subterms and shared data constants.  The
 rules tried at a redex are those that `rule_index` fits to its argument
@@ -82,9 +82,9 @@ def _rewrites(
     deterministic order: positions pre-order (leftmost-outermost first),
     rules in file order at each position.  One walk with an explicit stack;
     data subtrees hold no redex and are skipped.  A redex tries the rules
-    that `rule_index` fits to its argument heads, each by its `rule_plans`
-    plan: the registers are the matched subterms, so a rhs piece equal to
-    an lhs piece is the subject's own object, not a copy."""
+    that `rule_index` fits to its argument heads, each by its plan there:
+    the registers are the matched subterms, so a rhs piece equal to an lhs
+    piece is the subject's own object, not a copy."""
     if not isinstance(t, App) or t.is_data:
         return
     cbv = strategy == "cbv"

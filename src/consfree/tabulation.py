@@ -38,13 +38,14 @@ Table values are bitmasks over B indices, keys are a defined symbol and its
 arguments' B indices, and a fill builds and hashes no term: cons-freeness
 makes every constructor-rooted rhs subterm ground data or a piece of the lhs
 (data values are pointers into the input, as in Jones).  A rule runs as its
-`terms.rule_plans` plan, the one the oracle runs too: head tests along
-child-index paths for the lhs, and for the rhs slots that hold the
-registers, then the rule's ground constants, then its nodes, each a defined
-symbol evaluated pointwise over the table.  A key tries the rules that
-`rule_index` fits to its arguments' heads.  Per run, a B item is a head
-symbol and its children's indices, and each constant is its B index; the
-start term and `nf`'s term are converted to the same layout once.
+plan, kept by `terms.rule_index`, the one the oracle runs too: head tests
+along child-index paths for the lhs, and for the rhs the `compile_rhs`
+slots that hold the registers, then the rule's ground constants, then its
+nodes, each a defined symbol evaluated pointwise over the table.  A key
+tries the rules that `rule_index` fits to its arguments' heads.  Per run, a
+B item is a head symbol and its children's indices, and each constant is
+its B index; the start term and `nf`'s term go through `compile_rhs` once,
+with no registers, so their data subterms fill the first slots.
 `run_tabulation` returns the `ConfirmedTable` it filled, and `nf` evaluates
 on that run's own table.  `basic_ops` counts the sites a term-walking
 evaluator would, a node shared by identity once, so the counts are the same.
@@ -152,23 +153,10 @@ class ConfirmedTable:
 
     def _ground(self, t: Term) -> tuple[tuple, int, list[int]]:
         """Nodes, top slot and registers of a ground term in the layout of
-        a rule plan: its data subterms are the registers, looked up as their
-        own objects so that dict identity spares a deep compare."""
-        regs: list[int] = []
-
-        def leaf(u: Term) -> int | None:
-            if u.is_data:
-                regs.append(self.b.index[u])
-                return len(regs) - 1
-            return None  # a defined node
-
-        nodes, top = compile_rhs(t, leaf)
-        n = len(regs)
-
-        def final(s: int) -> int:
-            return s if s >= 0 else n + ~s
-
-        return tuple((f, tuple(map(final, args))) for f, args in nodes), final(top), regs
+        a rule plan: its data subterms, looked up as their own objects so
+        that dict identity spares a deep compare, are the registers."""
+        consts, nodes, top = compile_rhs(t, {}, 0)
+        return nodes, top, [self.b.index[u] for u in consts]
 
     def _values(self, nodes: tuple, top: int, regs: list[int]) -> int:
         """Bitmask of possible values of a plan's `nodes` and `top` on its

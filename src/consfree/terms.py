@@ -419,75 +419,20 @@ def rhs_data(trs: Trs) -> tuple[Term, ...]:
     )
 
 
-class _RulePlans(dict):
-    """See `rule_plans`: a rule is compiled on its first lookup."""
-
-    def __init__(self, trs: Trs):
-        super().__init__()
-        self.rules = trs.rules
-        self.pool_slot = {t: k for k, t in enumerate(rhs_data(trs))}
-
-    def __missing__(self, i: int) -> tuple:
-        rule = self.rules[i]
-        tests, pats = head_tests(rule.lhs)
-        where: dict[Term, int] = {}  # lhs subterm -> its first register
-        eqs = []
-        for r, p in enumerate(pats):
-            if where.setdefault(p, r) != r and isinstance(p, Var):
-                eqs.append((where[p], r))
-        consts: list[Term] = []
-        pool: list[int] = []
-
-        def leaf(u: Term) -> int | None:
-            if u.is_data:
-                consts.append(u)
-                pool.append(self.pool_slot[u])
-                return len(pats) + len(consts) - 1
-            return where.get(u)  # None: a node to build
-
-        nodes, top = compile_rhs(rule.rhs, leaf)
-        base = len(pats) + len(consts)
-
-        def final(s: int) -> int:
-            return s if s >= 0 else base + ~s
-
-        built = tuple((f, tuple(map(final, args))) for f, args in nodes)
-        plan = self[i] = (
-            tests, tuple(eqs), tuple(consts), tuple(pool), built, final(top)
-        )
-        return plan
-
-
-@per_system
-def rule_plans(trs: Trs) -> dict[int, tuple]:
-    """Each rule compiled once per system, on its first lookup by rule index,
-    into the one plan that both the oracle and the table run.  A plan is
-    (tests, eqs, consts, pool slots, nodes, top).
-
-    `tests` are the lhs's `head_tests`; `eqs` pairs the registers that hold
-    one repeated lhs variable, which must hold equal terms.  The rhs is built
-    bottom-up over slots: the registers, then `consts` (the rhs's data
-    subterms; `pool slots` gives each one's place in `rhs_data`), then one
-    slot per `nodes` entry, a head and its arguments' slots in post-order.
-    `top` is the slot of the rhs.  A data subterm is a const, a subterm equal
-    to an lhs argument subterm (a variable among them) is that subterm's
-    first register, and every other subterm is a node.  So on a cons-free
-    system every node is headed by a defined symbol."""
-    return _RulePlans(trs)
-
-
 class _RuleIndex(dict):
-    """See `rule_index`: an entry is computed on its first lookup."""
+    """See `rule_index`: an entry is computed on its first lookup, and a
+    rule is compiled into `plans` when an entry first holds it."""
 
     def __init__(self, trs: Trs):
         super().__init__()
         self.by_head = trs.by_head
-        self.plans = rule_plans(trs)
+        self.pool_slot = {t: k for k, t in enumerate(rhs_data(trs))}
+        self.plans: dict[int, tuple] = {}
 
     def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[tuple[int, tuple], ...]:
         head, arg_heads = key
         hit = self[key] = tuple(
-            (i, self.plans[i])
+            (i, self.plans.get(i) or self._compile(i, rule))
             for i, rule in self.by_head.get(head, ())
             if all(
                 isinstance(p, Var) or p.head is h for p, h in zip(rule.lhs.args, arg_heads)
@@ -495,16 +440,38 @@ class _RuleIndex(dict):
         )
         return hit
 
+    def _compile(self, i: int, rule: Rule) -> tuple:
+        tests, pats = head_tests(rule.lhs)
+        where: dict[Term, int] = {}  # lhs subterm -> its first register
+        eqs = []
+        for r, p in enumerate(pats):
+            if where.setdefault(p, r) != r and isinstance(p, Var):
+                eqs.append((where[p], r))
+        consts, nodes, top = compile_rhs(rule.rhs, where, len(pats))
+        pool = tuple([self.pool_slot[u] for u in consts])
+        plan = self.plans[i] = (tests, tuple(eqs), consts, pool, nodes, top)
+        return plan
+
 
 @per_system
 def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[tuple[int, tuple], ...]]:
     """The system's argument-head index (after Graf's substitution trees),
     one per system.  A key is a head symbol and the head symbols of its
     arguments' roots (None for a variable); its value holds the index and
-    `rule_plans` plan, in file order, of each of the head's rules whose lhs
-    argument roots fit: a pattern variable fits anything, a pattern term
-    only that head.  Compiled systems carry hundreds of rules, most ruled
-    out here by one lookup, and a rule is compiled when a key first fits it."""
+    plan, in file order, of each of the head's rules whose lhs argument
+    roots fit: a pattern variable fits anything, a pattern term only that
+    head.  Compiled systems carry hundreds of rules, most ruled out here by
+    one lookup.
+
+    A rule is compiled when a key first fits it, into the one plan that both
+    the oracle and the table run, kept in the index's `plans` by rule index.
+    A plan is (tests, eqs, consts, pool slots, nodes, top): `tests` are the
+    lhs's `head_tests`, and `eqs` pairs the registers that hold one repeated
+    lhs variable, which must hold equal terms.  The rest is `compile_rhs` of
+    the rhs over the registers, where an rhs subterm equal to an lhs
+    argument subterm is that subterm's first register; `pool slots` gives
+    each const's place in `rhs_data`.  So on a cons-free system every node
+    is headed by a defined symbol."""
     return _RuleIndex(trs)
 
 
@@ -524,16 +491,19 @@ def head_tests(lhs: App) -> tuple[tuple[tuple[int, Symbol], ...], list[Term]]:
     return tuple(tests), pats
 
 
-def compile_rhs(t: Term, leaf: Callable[[Term], Optional[int]]) -> tuple[list, int]:
-    """`t` compiled for building bottom-up, by one iterative post-order walk.
+def compile_rhs(t: Term, where: dict[Term, int], base: int) -> tuple[tuple, tuple, int]:
+    """`t` compiled for building bottom-up over slots, by one iterative
+    post-order walk.  Returns (consts, nodes, top).
 
-    `leaf(u)` gives a subterm's slot (>= 0), or None for a node to build from
-    its arguments; it is called once per distinct object, in pre-order, so a
-    subterm shared by identity is compiled once.  Returns the nodes in
-    post-order, a head and its arguments' slots each, and the slot of `t`;
-    node k is slot ~k."""
+    Slots below `base` are registers.  Then come the consts, `t`'s data
+    subterms in pre-order, and then one slot per node, in post-order: a
+    head and its arguments' slots.  A data subterm is a const, a subterm
+    found in `where` (by equality) is its register there, and any other
+    subterm is a node.  A subterm shared by identity is compiled once.
+    `top` is the slot of `t`."""
+    consts: list[Term] = []
     nodes: list[tuple[Symbol, tuple[int, ...]]] = []
-    slot: dict[int, int] = {}  # id(subterm) -> its slot
+    slot: dict[int, int] = {}  # id(subterm) -> its slot; node k is ~k until the end
     todo: list[tuple[Term, bool]] = [(t, False)]  # (term, arguments compiled)
     while todo:
         u, ready = todo.pop()
@@ -541,13 +511,21 @@ def compile_rhs(t: Term, leaf: Callable[[Term], Optional[int]]) -> tuple[list, i
             nodes.append((u.head, tuple([slot[id(a)] for a in u.args])))
             slot[id(u)] = ~(len(nodes) - 1)
         elif id(u) not in slot:
-            s = leaf(u)
-            if s is None:
+            if u.is_data:
+                slot[id(u)] = base + len(consts)
+                consts.append(u)
+            elif (r := where.get(u)) is not None:
+                slot[id(u)] = r
+            else:
                 todo.append((u, True))
                 todo.extend((a, False) for a in reversed(u.args))
-            else:
-                slot[id(u)] = s
-    return nodes, slot[id(t)]
+    top = slot[id(t)]
+    n = base + len(consts)  # node k, slot ~k in the walk, is slot n + k
+    return (
+        tuple(consts),
+        tuple((f, tuple([s if s >= 0 else n + ~s for s in args])) for f, args in nodes),
+        top if top >= 0 else n + ~top,
+    )
 
 
 def canonical_rule(rule: Rule) -> Rule:

@@ -194,10 +194,8 @@ def simulate_tm(tm: TmSpec, bits: str, fuel: int) -> str:
     state, pos = tm.start_state, 0
     shift = {"L": -1, "R": 1, "S": 0}
     for _ in range(fuel):
-        if state == tm.accept_state:
-            return "accept"
-        if state == tm.reject_state:
-            return "reject"
+        if state in (tm.accept_state, tm.reject_state):
+            break
         seen = tape.get(pos, tm.blank)
         state, written, move = tm.delta[(state, seen)]
         tape[pos] = written

@@ -16,7 +16,6 @@ bot itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .analysis import check_constrained, require_cons_free
@@ -38,58 +37,33 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """counts[(f, i)] = how many copies of f's i-th argument (1-based) the
-    transformed system carries; at least 1 everywhere."""
-
-    counts: dict[tuple[str, int], int]
-    _widened: dict[Symbol, tuple] = field(
-        init=False, compare=False, repr=False, default_factory=dict
-    )
-
-    def of(self, symbol: str, i: int) -> int:
-        return self.counts.get((symbol, i), 1)
-
-    def new_arity(self, sym: Symbol) -> int:
-        if sym.kind is Kind.CONSTRUCTOR:
-            return sym.arity
-        return sum(self.of(sym.name, i) for i in range(1, sym.arity + 1))
-
-    def widen(self, sym: Symbol) -> tuple[Symbol, tuple[int, ...]]:
-        """A defined symbol's widened symbol and the copy count of each of
-        its arguments, computed once per table."""
-        hit = self._widened.get(sym)
-        if hit is None:
-            hit = self._widened[sym] = (
-                Symbol(sym.name, self.new_arity(sym), sym.kind),
-                tuple(self.of(sym.name, i) for i in range(1, sym.arity + 1)),
-            )
-        return hit
+Widening = dict[Symbol, tuple[Symbol, tuple[int, ...]]]
 
 
-def compute_counts(trs: Trs) -> CountTable:
-    """Copies of each defined argument, in one pass over the rules: the most
-    right-hand-side uses of it by one rule where it is a bare variable."""
-    counts: dict[tuple[str, int], int] = {}
+def compute_counts(trs: Trs) -> Widening:
+    """Each defined symbol's widened symbol and the copies of each of its
+    arguments, in one pass over the rules: the most right-hand-side uses of
+    an argument by one rule where it is a bare variable, and at least 1."""
+    widths = {s: [1] * s.arity for s in trs.defined()}
     for rule in trs.rules:
         uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
-        name = rule.lhs.head.name
-        for i, arg in enumerate(rule.lhs.args, start=1):
-            need = uses[arg.name] if isinstance(arg, Var) else 1
-            counts[(name, i)] = max(counts.get((name, i), 1), need)
-    return CountTable(counts)
+        w = widths[rule.lhs.head]
+        for i, arg in enumerate(rule.lhs.args):
+            if isinstance(arg, Var):
+                w[i] = max(w[i], uses[arg.name])
+    return {s: (Symbol(s.name, sum(w), s.kind), tuple(w)) for s, w in widths.items()}
 
 
-def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
+def phi(trs: Trs, counts: Widening, t: Term) -> Term:
     """Rewrite a term into the widened signature by repeating arguments.
 
     Only defined for terms whose constructor-rooted subterms contain no
     defined symbols (below a constructor there is only data to copy).
-    `t` is a term of `trs`.  Each head is widened by `counts.widen`; symbols
-    are shared objects, so these are the very symbols of
-    `semi_linearize(trs)`.  Data subterms are kept as they are, and a
-    repeated argument is one object, built once.
+    `t` is a term of `trs`, and `counts` is `compute_counts(trs)`: each
+    defined head is widened by its entry there.  Symbols are shared
+    objects, so these are the very symbols of `semi_linearize(trs)`.  Data
+    subterms are kept as they are, and a repeated argument is one object,
+    built once.
 
     `trs` is not read: `counts` alone widens each head.  The parameter stays
     because the benchmark (`perfbench/`) calls `phi` with three positional
@@ -98,7 +72,7 @@ def phi(trs: Trs, counts: CountTable, t: Term) -> Term:
     return _widen(counts, t, {})
 
 
-def _widen(counts: CountTable, t: Term, copies: dict[str, Iterator[Var]]) -> Term:
+def _widen(counts: Widening, t: Term, copies: dict[str, Iterator[Var]]) -> Term:
     """`phi`'s walk.  A variable named in `copies` takes the next of its
     copies, so in pre-order its first occurrence takes the first copy."""
     order: list = []  # pre-order for `build`: widened heads, leaves, copy counts
@@ -108,7 +82,7 @@ def _widen(counts: CountTable, t: Term, copies: dict[str, Iterator[Var]]) -> Ter
         if isinstance(u, int) or u.is_data:
             order.append(u)
         elif isinstance(u, App) and u.head.kind is Kind.DEFINED:
-            head, widths = counts.widen(u.head)
+            head, widths = counts[u.head]
             order.append(head)
             for a, k in zip(reversed(u.args), reversed(widths)):
                 todo.append(a)
@@ -161,7 +135,7 @@ def semi_linearize(trs: Trs) -> Trs:
     for rule in trs.rules:
         lhs = rule.lhs
         used = variables(lhs) | names
-        head, widths = counts.widen(lhs.head)
+        head, widths = counts[lhs.head]
         new_args: list[Term] = []
         copies: dict[str, Iterator[Var]] = {}
         for i, (arg, k) in enumerate(zip(lhs.args, widths), start=1):
@@ -173,7 +147,7 @@ def semi_linearize(trs: Trs) -> Trs:
         new_rhs = _widen(counts, rule.rhs, copies)
         new_rules.append(Rule(App(head, tuple(new_args)), new_rhs))
 
-    extra = [counts.widen(s)[0] for s in trs.defined() if s not in trs.by_head]
+    extra = [counts[s][0] for s in trs.defined() if s not in trs.by_head]
     if has_decision_interface(trs):
         wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
         for c in trs.constructors():

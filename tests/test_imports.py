@@ -240,7 +240,7 @@ def test_decision_interface_named_only_in_fmt(path):
 
 
 def head_tests_calls(source: str) -> list[str]:
-    """Calls of `head_tests`, bare or as an attribute: `terms.rule_plans`
+    """Calls of `head_tests`, bare or as an attribute: `terms.rule_index`
     compiles each rule once for the table and the oracle alike."""
     found = []
     for n in ast.walk(ast.parse(source)):
@@ -257,7 +257,7 @@ def test_head_tests_call_checker_flags_calls():
         "tests, pats = head_tests(rule.lhs)\n"
         "other = terms.head_tests(lhs)\n"
         "alias = head_tests\n"
-        "plan = rule_plans(trs)[i]\n"
+        "plan = rule_index(trs).plans[i]\n"
     )
     assert head_tests_calls(src) == ["head_tests (line 1)", "head_tests (line 2)"]
 

@@ -26,8 +26,8 @@ from consfree.terms import (
     per_system,
     positions,
     replace_at,
+    rhs_data,
     rule_index,
-    rule_plans,
     same_rules,
     size,
     subterm_at,
@@ -35,7 +35,9 @@ from consfree.terms import (
     variables,
 )
 
-from conftest import ROOT
+from consfree.tm import compile_tm
+
+from conftest import ROOT, load_machine
 
 NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
 ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
@@ -261,11 +263,13 @@ def test_rule_index_fits_argument_heads():
     trs = Trs(rules)
     index = rule_index(trs)
     assert rule_index(trs) is index  # memoized per system
+    assert index.plans == {}  # a rule is compiled when a key first fits it
 
     def fits(key):
         return tuple(i for i, _ in index[key])
 
     assert fits((h, (NIL, CONS))) == (0, 2, 3)
+    assert sorted(index.plans) == [0, 2, 3]
     assert fits((h, (NIL, NIL))) == (0, 3)
     assert fits((h, (CONS, NIL))) == (3, 4)
     assert fits((h, (ZERO, ZERO))) == (3,)
@@ -274,7 +278,7 @@ def test_rule_index_fits_argument_heads():
     # a symbol of the same name but another arity heads none of the rules
     assert fits((Symbol("h", 1, Kind.DEFINED), (NIL,))) == ()
     # each fitting rule comes with its one plan
-    assert all(p is rule_plans(trs)[i] for i, p in index[(h, (NIL, CONS))])
+    assert all(p is index.plans[i] for i, p in index[(h, (NIL, CONS))])
 
 
 def test_head_tests_walk_child_paths():
@@ -286,23 +290,29 @@ def test_head_tests_walk_child_paths():
 
 
 def test_compile_rhs():
-    x = Var("x")
-    shared = App(F, (x,))
-    t = App(G, (shared, App(G, (shared, App(CONS, (x, App(NIL)))))))
-    seen = []
-
-    def leaf(u):
-        seen.append(u)
-        return None if isinstance(u, App) and u.head.kind is Kind.DEFINED else len(seen)
-
-    nodes, top = compile_rhs(t, leaf)
-    # leaf sees each distinct object once, in pre-order; the second `shared`
-    # and the second `x` (one object) are not asked again
-    assert seen == [t, shared, x, t.args[1], t.args[1].args[1]]
-    # post-order: f(x) first and once, then the inner g, then the root
-    assert nodes == [(F, (3,)), (G, (~0, 5)), (G, (~0, ~1))]
-    assert top == ~2
-    assert compile_rhs(x, lambda u: 7) == ([], 7)
+    x, y = Var("x"), Var("y")
+    shared, zero, one = App(F, (x,)), App(ZERO), lst(1)
+    piece = App(CONS, (y, App(NIL)))  # built apart from its `where` key
+    right = App(G, (shared, App(G, (one, zero))))
+    t = App(G, (shared, App(G, (App(G, (piece, zero)), right))))
+    where = {x: 0, App(CONS, (y, App(NIL))): 1}
+    consts, nodes, top = compile_rhs(t, where, 2)
+    # registers 0 and 1, found by equality; then the data subterms in
+    # pre-order, the second `zero` (one object) not again, and `piece`'s nil
+    # not at all: a register is not compiled below
+    assert consts == (zero, one) and consts[0] is zero and consts[1] is one
+    # post-order from slot 4: f(x) first and once, although `shared` occurs twice
+    assert nodes == (
+        (F, (0,)),  # 4
+        (G, (1, 2)),  # 5: g(piece, zero)
+        (G, (3, 2)),  # 6: g(one, zero)
+        (G, (4, 6)),  # 7: g(shared, ...)
+        (G, (5, 7)),  # 8
+        (G, (4, 8)),  # 9: t
+    )
+    assert top == 9
+    assert compile_rhs(x, where, 2) == ((), (), 0)
+    assert compile_rhs(one, where, 2) == ((one,), (), 2)
     # a 2000-deep term, in its own process, under the default recursion limit
     code = (
         "from consfree.terms import App, Kind, Symbol, Var, compile_rhs\n"
@@ -310,8 +320,8 @@ def test_compile_rhs():
         "t = Var('x')\n"
         "for _ in range(2000):\n"
         "    t = App(g, (t,))\n"
-        "nodes, top = compile_rhs(t, lambda u: 0 if isinstance(u, Var) else None)\n"
-        "print(len(nodes), top, nodes[0][1], nodes[-1][1])\n"
+        "consts, nodes, top = compile_rhs(t, {Var('x'): 0}, 1)\n"
+        "print(len(consts), len(nodes), top, nodes[0][1], nodes[-1][1])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -322,7 +332,31 @@ def test_compile_rhs():
     )
     assert proc.returncode == 0, proc.stderr
     # the innermost g reads the variable's slot, each other g the node below
-    assert proc.stdout == "2000 -2000 (0,) (-1999,)\n"
+    assert proc.stdout == "0 2000 2000 (0,) (1999,)\n"
+
+
+def test_every_plan_is_well_formed(corpus):
+    systems = dict(corpus)
+    for name in ("contains11", "parity", "square"):
+        systems[name] = compile_tm(load_machine(name)).trs
+    for name, trs in systems.items():
+        index, pool = rule_index(trs), rhs_data(trs)
+        for i, rule in enumerate(trs.rules):
+            lhs = rule.lhs
+            assert i in dict(index[(lhs.head, tuple([a.head for a in lhs.args]))])
+            _, _, consts, slots, nodes, top = index.plans[i]
+            regs = len(head_tests(lhs)[1])
+            first = regs + len(consts)  # the first node's slot
+            for k, (_, args) in enumerate(nodes):
+                assert all(0 <= s < first + k for s in args), (name, i)
+            # each const is read, so the consts fill the slots after the registers
+            read = {top}.union(*(args for _, args in nodes))
+            assert set(range(regs, first)) <= read, (name, i)
+            if nodes:
+                assert top == first + len(nodes) - 1, (name, i)
+            else:
+                assert top < first, (name, i)
+            assert [pool[s] for s in slots] == list(consts), (name, i)
 
 
 def test_canonical_rule_and_same_rules():
@@ -369,6 +403,24 @@ def test_apps_built_apart_are_equal():
     assert App(G, a.args) != App(pair, a.args)
     assert lst(0, 1, 0) != a
     assert App(NIL) != Var("nil")
+
+
+def test_equality_below_the_root():
+    # a cached hash tells unequal terms apart first; forcing equal hashes
+    # makes == walk down to the children that differ
+    h = Symbol("h", 1, Kind.DEFINED)
+    a, b = App(Symbol("a", 0, Kind.CONSTRUCTOR)), App(Symbol("b", 0, Kind.CONSTRUCTOR))
+    pairs = [
+        (App(F, (Var("x"),)), App(F, (Var("y"),))),
+        (App(F, (App(h, (a,)),)), App(F, (App(h, (b,)),))),
+    ]
+    for t, u in pairs:
+        u._hash = t._hash
+        assert t != u and not t == u
+    t, u = App(F, (App(h, (Var("x"),)),)), App(F, (App(h, (Var("x"),)),))
+    assert t is not u and t.args[0] is not u.args[0]
+    assert t == u
+    assert str(Var("x")) == "x"
 
 
 def _is_data_reference(t):

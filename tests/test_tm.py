@@ -75,6 +75,10 @@ def test_comments_and_blank_lines():
         (lambda s: s + "delta: q0 1 -> qacc 1 S\n", "duplicate transition"),
         (lambda s: s + "delta: q0 0 -> q0 0 X\n", "move must be one of"),
         (lambda s: s + "delta: q0 0 -> qmissing 0 S\n", "unknown state"),
+        (lambda s: s.lstrip().replace("states: q0", "states: r-x q0"),
+         "line 1: bad state name 'r-x'"),
+        (lambda s: s.lstrip().replace("q0 1 -> qacc", "q0 2 -> qacc"),
+         "line 8: unknown tape symbol '2'"),
         (lambda s: s + "delta: qacc 0 -> q0 0 R\n", "must be absorbing"),
         (lambda s: s + "delta: q0 0 q0 0 S\n", "delta needs the form"),
         (lambda s: s + "oops: 1\n", "unknown key"),
@@ -106,6 +110,18 @@ def test_simulate_minimal():
 def test_simulate_timeout():
     tm = parse_tm(MINIMAL + "delta: q0 0 -> q0 0 S\n")
     assert simulate_tm(tm, "0", 50) == "timeout"
+
+
+def test_simulate_stops_at_a_halting_state_that_is_not_absorbing():
+    # built directly, so nothing makes qacc and qrej self-loops: the run
+    # ends when it first enters one, and the fuel decides only before that
+    tm = parse_tm(MINIMAL)
+    looping = TmSpec(**{**vars(tm), "delta": {
+        ("q0", "1"): ("qacc", "1", "R"), ("q0", "0"): ("qrej", "0", "R"),
+        ("qacc", "_"): ("q0", "1", "L"), ("qrej", "_"): ("q0", "0", "L"),
+    }})
+    assert [simulate_tm(looping, "1", n) for n in (0, 1, 5)] == ["timeout", "accept", "accept"]
+    assert [simulate_tm(looping, "0", n) for n in (0, 1, 5)] == ["timeout", "reject", "reject"]
 
 
 def test_parity_machine_semantics():

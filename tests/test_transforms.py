@@ -8,7 +8,7 @@ from consfree.analysis import (
 )
 from consfree.engine import Budget, Oracle
 from consfree.fmt import parse_term, parse_trs, print_trs
-from consfree.terms import App, Trs, Var, format_term
+from consfree.terms import App, Kind, Symbol, Trs, Var, format_term
 from consfree.transforms import (
     bottom_extend,
     compute_counts,
@@ -26,23 +26,23 @@ NESTED = parse_trs("(VAR x y)(RULES f(x) -> g(x, h(x)) g(x, y) -> y h(x) -> x)")
 
 def test_compute_counts():
     counts = compute_counts(DUP)
-    assert counts.of("f", 1) == 2
-    assert counts.of("g", 1) == 1
-    assert counts.of("g", 2) == 1
-    assert counts.of("unknown", 1) == 1
-    assert counts.new_arity(DUP.symbol("f")) == 2
-    assert counts.new_arity(DUP.symbol("g")) == 2
+    f, g = DUP.symbol("f"), DUP.symbol("g")
+    # one entry per defined symbol: its widened symbol, its argument copies
+    assert set(counts) == {f, g}
+    assert counts[f] == (Symbol("f", 2, Kind.DEFINED), (2,))
+    assert counts[g] == (Symbol("g", 2, Kind.DEFINED), (1, 1))
+    assert counts[g][0] is g
 
 
 def test_counts_ignore_pattern_arguments():
     trs = load_system("dup_first")
     counts = compute_counts(trs)
     # dup's first argument is a pattern, only the bare second one widens
-    assert counts.of("dup", 1) == 1
-    assert counts.of("dup", 2) == 2
-    assert counts.new_arity(trs.symbol("dup")) == 3
-    assert counts.new_arity(trs.symbol("start")) == 1
-    assert counts.new_arity(trs.symbol("cons")) == 2
+    assert counts[trs.symbol("dup")][1] == (1, 2)
+    assert counts[trs.symbol("dup")][0].arity == 3
+    assert counts[trs.symbol("start")][0].arity == 1
+    # constructors are not widened
+    assert trs.symbol("cons") not in counts
 
 
 def test_phi_repeats_arguments():
