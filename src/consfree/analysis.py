@@ -6,14 +6,15 @@ defined symbol applied to constructor terms, and (3) every constructor-rooted
 subterm of the rhs is either ground data or a strict subterm of the lhs.
 Cons-free reductions can therefore never build new data: every data value in
 reach is a subterm of the start term or of some right-hand side.  That finite
-set (`BSet`) is what makes the tabulation procedure polynomial.
+set B, which `compute_b` returns as a dict from each data term to its index,
+is what makes the tabulation procedure polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .terms import (
@@ -172,34 +173,16 @@ def verify_constrained_witness(trs: Trs, witness: ConstrainedWitness) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BSet:
-    """The finite data universe for one run: all data terms occurring in the
-    start term or in a right-hand side, closed under subterms, in a fixed
-    insertion order (start term first, then rules in file order)."""
-
-    items: tuple[Term, ...]
-    index: dict[Term, int] = field(compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.index.update({t: i for i, t in enumerate(self.items)})
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, t: Term) -> bool:
-        return t in self.index
+def compute_b(trs: Trs, start: Term) -> dict[Term, int]:
+    """The data universe of a run from `start`, each data term to its index:
+    the start term's data, then the system's right-hand-side data pool less
+    what the start term holds."""
+    b = dict.fromkeys(s for s in subterms(start) if s.is_data)
+    b.update(dict.fromkeys(rhs_data(trs)))  # a key already in keeps its place
+    return {t: i for i, t in enumerate(b)}
 
 
-def compute_b(trs: Trs, start: Term) -> BSet:
-    """The data universe of a run from `start`: the start term's data, then
-    the system's right-hand-side data pool less what the start term holds."""
-    items = dict.fromkeys(s for s in subterms(start) if s.is_data)
-    items.update(dict.fromkeys(rhs_data(trs)))  # a key already in keeps its place
-    return BSet(tuple(items))
-
-
-def is_b_safe(b: BSet, t: Term) -> bool:
+def is_b_safe(b: dict[Term, int], t: Term) -> bool:
     """t is in the universe, or a defined symbol applied to safe arguments."""
     todo = [t]
     while todo:

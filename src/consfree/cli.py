@@ -210,9 +210,10 @@ def _verify_stages(orig: Trs, stages, max_size: int) -> bool:
 
 
 def cmd_compile_tm(args: argparse.Namespace) -> int:
+    with open(args.path, encoding="utf-8") as fh:
+        source = fh.read()  # read outside the try: an unreadable file exits 2
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            tm = parse_tm(fh.read())
+        tm = parse_tm(source)
         compiled = compile_tm(tm)
     except (TmParseError, ValueError) as exc:
         print(f"cannot compile: {exc}", file=sys.stderr)

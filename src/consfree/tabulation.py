@@ -42,13 +42,14 @@ plan, kept by `terms.rule_index`, the one the oracle runs too: head tests
 along child-index paths for the lhs, and for the rhs the `compile_rhs`
 slots that hold the registers, then the rule's ground constants, then its
 nodes, each a defined symbol evaluated pointwise over the table.  A key
-tries the rules that `rule_index` fits to its arguments' heads.  Per run, a
-B item is a head symbol and its children's indices, and each constant is
-its B index; the start term and `nf`'s term go through `compile_rhs` once,
-with no registers, so their data subterms fill the first slots.
-`run_tabulation` returns the `ConfirmedTable` it filled, and `nf` evaluates
-on that run's own table.  `basic_ops` counts the sites a term-walking
-evaluator would, a node shared by identity once, so the counts are the same.
+tries the rules that `rule_index` fits to its arguments' heads.  A table
+builds its run's B; a B item is a head symbol and its children's indices,
+and each constant is its B index.  The start term and `nf`'s term go through
+`compile_rhs` once, with no registers, so their data subterms fill the first
+slots.  `run_tabulation` returns the `ConfirmedTable` it filled, and `nf`
+evaluates on that run's own table, on a demand table only over the keys the
+last round evaluated.  `basic_ops` counts the sites a term-walking evaluator
+would, a node shared by identity once, so the counts are the same.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from . import __version__
-from .analysis import BSet, compute_b, is_b_safe, require_cons_free
+from .analysis import compute_b, is_b_safe, require_cons_free
 from .fmt import TRUE, encode_input, require_decision_interface
 from .terms import (
     Symbol,
@@ -113,42 +114,46 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class ConfirmedTable:
-    """The Confirmed table of one run over its data universe `b`: `entries`
-    holds each key's value bitmask, YES entries only (`_set` never stores
-    0).  `run_tabulation` fills it and sets `stats`; `nf` evaluates on it."""
+    """The Confirmed table of one run from `start` over its data universe:
+    `b` maps each data term to its index and `items` lists them by index.
+    `entries` holds each key's value bitmask, YES entries only (`_set` never
+    stores 0).  `run_tabulation` fills it and sets `stats`; `nf` evaluates on
+    it.  `cone` is None on a dense table, where every key is final, and the
+    keys of the last round on a demand table."""
 
     stats: TabulationStats
 
-    def __init__(self, trs: Trs, b: BSet):
+    def __init__(self, trs: Trs, start: Term):
+        self.b = b = compute_b(trs, start)
+        if not is_b_safe(b, start):
+            raise ValueError(
+                f"start term {format_term(start)} is not safe for its data universe"
+            )
+        self.items = tuple(b)
         self.index = rule_index(trs)
         self.trs = trs
-        self.b = b
         self.ops = 0
         self.entries: dict[Key, int] = {}
+        self.cone: set[Key] | None = None
         # each B item as a head symbol and its children's B indices
-        self.heads = [t.head for t in b.items]
-        self.kids = [tuple(b.index[a] for a in t.args) for t in b.items]
+        self.heads = [t.head for t in self.items]
+        self.kids = [tuple(b[a] for a in t.args) for t in self.items]
         self.ones = [(i,) for i in range(len(b))]  # an item as a value tuple
-        pool = rhs_data(trs)
-        self.consts = [b.index.get(t) for t in pool]
-        if None in self.consts:
-            t = pool[self.consts.index(None)]
-            raise ValueError(f"term {format_term(t)} is outside the data universe")
+        self.consts = [b[t] for t in rhs_data(trs)]
         self._bit_tuples: dict[int, tuple[int, ...]] = {}
 
-    def yes_set(self, symbol: str, args: tuple[Term, ...]) -> frozenset[Term]:
-        sym = self.trs.by_name.get(symbol)
-        mask = self.entries.get((sym, tuple(self.b.index[a] for a in args)), 0)
-        return frozenset(self.b.items[i] for i in _bits(mask))
+    def _call(self, key: Key) -> str:
+        sym, combo = key
+        args = ", ".join(format_term(self.items[i]) for i in combo)
+        return f"{sym.name}({args})" if combo else sym.name
 
     def dump(self) -> str:
         """One line per YES entry, `f(s1, ..., sn) => t`, sorted."""
         lines = []
-        for (sym, combo), mask in self.entries.items():
-            args = ", ".join(format_term(self.b.items[i]) for i in combo)
-            call = f"{sym.name}({args})" if combo else sym.name
+        for key, mask in self.entries.items():
+            call = self._call(key)
             for i in _bits(mask):
-                lines.append(f"{call} => {format_term(self.b.items[i])}")
+                lines.append(f"{call} => {format_term(self.items[i])}")
         return "\n".join(sorted(lines))
 
     def _ground(self, t: Term) -> tuple[tuple, int, list[int]]:
@@ -156,14 +161,14 @@ class ConfirmedTable:
         a rule plan: its data subterms, looked up as their own objects so
         that dict identity spares a deep compare, are the registers."""
         consts, nodes, top = compile_rhs(t, {}, 0)
-        return nodes, top, [self.b.index[u] for u in consts]
+        return nodes, top, [self.b[u] for u in consts]
 
     def _values(self, nodes: tuple, top: int, regs: list[int]) -> int:
         """Bitmask of possible values of a plan's `nodes` and `top` on its
         registers `regs` against the current table.
 
-        Dense mode and `nf` keep this evaluator beside demand mode's
-        `_evaluate` on purpose: driving `_evaluate` with every key `done`
+        Dense tables keep this evaluator beside demand mode's `_evaluate`
+        on purpose: driving `_evaluate` with every key `done`
         keeps every count, but it made dense decides 10-30 % slower
         (membership at n=32 went from 15.7-16.4 to 19.1-20.3 ms, min of 5),
         and `corpus_dense` runs this path."""
@@ -253,7 +258,7 @@ class ConfirmedTable:
         return found
 
     def run_dense(self) -> int:
-        n = len(self.b)
+        n = len(self.items)
         get, matches, values = self.entries.get, self._matches, self._values
         sweeps = 0
         while True:
@@ -286,7 +291,7 @@ class ConfirmedTable:
         is one round, each key evaluated once, after the keys it reads.
 
         Returns the generations: 1, plus each repeat round that set a new
-        fact.
+        fact, and keeps the last round's keys as `cone`.
         """
         ground = [self._ground(root)]
         generations = 1
@@ -315,6 +320,7 @@ class ConfirmedTable:
                     stack.append((read, self._evaluate(bodies, value, done)))
             generations += repeat and changed
             if not cyclic or not changed:
+                self.cone = done
                 return generations
             repeat = True
             self.ops += 1  # fixpoint comparison for the next round
@@ -322,12 +328,7 @@ class ConfirmedTable:
 
 def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTable:
     require_cons_free(trs)
-    b = compute_b(trs, start)
-    if not is_b_safe(b, start):
-        raise ValueError(
-            f"start term {format_term(start)} is not safe for its data universe"
-        )
-    table = ConfirmedTable(trs, b)
+    table = ConfirmedTable(trs, start)
     if mode == "dense":
         generations = table.run_dense()
     elif mode == "demand":
@@ -338,17 +339,29 @@ def run_tabulation(trs: Trs, start: Term, mode: Mode = "dense") -> ConfirmedTabl
     k = max((s.arity for s in defined), default=0)
     n = size(start)
     table.stats = TabulationStats(
-        n, k, generations, table.ops, n ** (3 * k + 3), len(defined), len(b)
+        n, k, generations, table.ops, n ** (3 * k + 3), len(defined), len(table.b)
     )
     return table
 
 
 def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
-    """Possible data values of a ground, B-safe term at the fixpoint."""
+    """Possible data values of a ground, B-safe term at the fixpoint; on a
+    demand table, a read of a key outside its `cone` raises."""
     if not is_b_safe(table.b, t):
         raise ValueError(f"term {format_term(t)} is not B-safe for this table")
-    mask = table._values(*table._ground(t))
-    return frozenset(table.b.items[i] for i in _bits(mask))
+    if table.cone is None:
+        mask = table._values(*table._ground(t))
+    else:
+        try:
+            key = next(table._evaluate([table._ground(t)], 0, table.cone))
+        except StopIteration as stop:
+            mask = stop.value
+        else:
+            raise ValueError(
+                f"term {format_term(t)} reads {table._call(key)}, "
+                "which the demand run did not evaluate"
+            )
+    return frozenset(table.items[i] for i in _bits(mask))
 
 
 def decide(trs: Trs, bits: str, mode: Mode = "dense") -> tuple[bool, TabulationStats]:

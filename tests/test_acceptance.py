@@ -73,7 +73,7 @@ def test_criterion_1_table_matches_oracle_on_every_cell(corpus):
         table = run_tabulation(trs, start, "dense")
         assert len(table.b) <= 12, name
         for sym in trs.defined():
-            for combo in itertools.product(table.b.items, repeat=sym.arity):
+            for combo in itertools.product(table.items, repeat=sym.arity):
                 call = App(sym, combo)
                 oracle = reachable_data(trs, call, "cbv")
                 assert oracle.complete, (name, format_term(call))

@@ -145,7 +145,8 @@ def test_not_constrained():
 def test_compute_b_contents_and_order():
     trs = load_system("membership")
     b = compute_b(trs, encode_input("01"))
-    assert [format_term(t) for t in b.items] == [
+    assert list(b.values()) == list(range(7))
+    assert [format_term(t) for t in b] == [
         "cons(0, cons(1, nil))",
         "0",
         "cons(1, nil)",
@@ -171,7 +172,7 @@ def test_compute_b_contents_and_order():
         ("f(nil)", ["nil", "true", "cons(1, nil)", "1", "0", "cons(0, nil)"]),
     ]:
         b = compute_b(trs, parse_term(start, trs))
-        assert [format_term(t) for t in b.items] == want, start
+        assert [format_term(t) for t in b] == want, start
 
 
 def test_is_b_safe():

@@ -463,6 +463,16 @@ def test_compile_tm_bad_machine(capsys, tmp_path):
     assert err.startswith("cannot compile:")
 
 
+def test_compile_tm_unreadable_file_exits_2(capsys, tmp_path):
+    # a file that is not UTF-8 is an input error, as for every other command
+    src = tmp_path / "bad.tm"
+    src.write_bytes(b"states: q\xff\n")
+    code, out, err = run(capsys, "compile-tm", str(src))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, "bench", MEM, "--sizes", "4,8")
     assert code == 0

@@ -3,7 +3,7 @@ import json
 import sys
 
 from consfree import tabulation
-from consfree.analysis import BSet, NotConsFreeError, b_safe_terms
+from consfree.analysis import NotConsFreeError, b_safe_terms
 from consfree.engine import reachable_data
 from consfree.fmt import encode_input, parse_term, parse_trs, print_trs
 from consfree.tabulation import (
@@ -30,7 +30,7 @@ def test_loop42_table_by_hand():
     loop = load_system("loop42")
     fa = parse_term("f(a)", loop)
     table = run_tabulation(loop, fa, "dense")
-    assert [format_term(t) for t in table.b.items] == ["b"]
+    assert [format_term(t) for t in table.items] == ["b"]
     assert table.stats.generations == 2
     assert table.dump() == "f(b) => b"
     assert nf(table, fa) == frozenset()
@@ -82,7 +82,7 @@ def test_repeat_runs_on_one_system_are_identical():
             want = run_tabulation(make(), start, mode)
             got = run_tabulation(warm, start, mode)
             assert got.stats == want.stats, (mode, bits)
-            assert got.b.items == want.b.items, (mode, bits)
+            assert got.items == want.items, (mode, bits)
             assert got.dump() == want.dump(), (mode, bits)
             assert decide(warm, bits, mode) == decide(make(), bits, mode)
 
@@ -163,8 +163,8 @@ def test_demand_confirms_fewer_keys():
 def test_yes_set_lookup():
     mem = load_system("membership")
     table = run_tabulation(mem, encode_input("0"))
-    arg = parse_term("cons(0, nil)", mem)
-    assert {format_term(t) for t in table.yes_set("start", (arg,))} == {"true"}
+    call = parse_term("start(cons(0, nil))", mem)
+    assert {format_term(t) for t in nf(table, call)} == {"true"}
     assert "start(cons(0, nil)) => true" in table.dump().splitlines()
 
 
@@ -173,7 +173,7 @@ def test_table_matches_oracle_everywhere():
     mem = load_system("membership")
     table = run_tabulation(mem, encode_input("10"))
     for sym in mem.defined():
-        for combo in itertools.product(table.b.items, repeat=sym.arity):
+        for combo in itertools.product(table.items, repeat=sym.arity):
             call = App(sym, combo)
             oracle = reachable_data(mem, call, "cbv")
             assert oracle.complete
@@ -259,7 +259,7 @@ def test_demand_equals_dense_on_cyclic_read_graphs(monkeypatch, name):
         dense = run_tabulation(trs, start, "dense")
         demand, evaluated = demand_run(monkeypatch, trs, start)
         where = format_term(start)
-        assert demand.b.items == dense.b.items, where
+        assert demand.items == dense.items, where
         for key in evaluated:
             assert demand.entries.get(key, 0) == dense.entries.get(key, 0), where
         assert set(demand.entries) <= set(evaluated), where
@@ -296,13 +296,34 @@ def test_fill_builds_no_terms(monkeypatch):
     assert built == []
 
 
-def test_nf_rejects_table_missing_rhs_data():
-    # every ground constant of a right-hand side is in B by construction; a
-    # table whose universe lacks one is refused, not misread
-    mem = load_system("membership")
-    nil = parse_term("nil", mem)
-    with pytest.raises(ValueError, match="outside the data universe"):
-        tabulation.ConfirmedTable(mem, BSet((nil,)))
+def test_demand_nf_reads_its_cone_exactly(corpus):
+    # a demand table answers for every key its last round evaluated, with
+    # the dense value, and refuses every other key rather than read it empty
+    for name, trs in corpus.items():
+        if "start" not in trs.by_name:
+            continue
+        for n in range(5):
+            for bits in map("".join, itertools.product("01", repeat=n)):
+                start = encode_input(bits)
+                dense = run_tabulation(trs, start, "dense")
+                demand = run_tabulation(trs, start, "demand")
+                assert dense.cone is None and demand.cone, (name, bits)
+                for sym in trs.defined():
+                    for combo in itertools.product(
+                        range(len(demand.items)), repeat=sym.arity
+                    ):
+                        call = App(sym, tuple(demand.items[i] for i in combo))
+                        if (sym, combo) in demand.cone:
+                            want = nf(dense, call)
+                            assert nf(demand, call) == want, (name, bits, call)
+                        else:
+                            with pytest.raises(ValueError, match="did not evaluate"):
+                                nf(demand, call)
+                assert nf(demand, start) == nf(dense, start), (name, bits)
+    mem = corpus["membership"]
+    table = run_tabulation(mem, encode_input("01"), "demand")
+    with pytest.raises(ValueError, match=r"reads mem\(nil\),"):
+        nf(table, parse_term("mem(nil)", mem))
 
 
 def test_decide_sets_up_one_table_per_call():
