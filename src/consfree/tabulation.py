@@ -15,9 +15,13 @@ value combinations — strict, call-by-value: an argument with no values kills
 the whole combination).  Iteration stops at the first fixpoint.
 
 Two modes:
-- "dense": literally sweep every key (every defined symbol, every argument
-  tuple over B) per generation.  This is the reference procedure whose
-  operation count obeys the O(n^(3k+3)) bound (k = max defined arity).
+- "dense": sweep every key (every defined symbol, every argument tuple over
+  B) per generation.  A key's matching rules depend only on the key and B,
+  so they are found once per run, and a sweep evaluates only the keys some
+  rule matches (no other key ever gets a value).  `basic_ops` still counts
+  one rule-match attempt per candidate rule per key per sweep, so the counts
+  are those of the reference procedure, whose operation count obeys the
+  O(n^(3k+3)) bound (k = max defined arity).
 - "demand": the same saturation restricted to the keys transitively read
   while evaluating the start term, in rounds.  A round evaluates each key
   when it is first read, after the keys it reads (an explicit stack of
@@ -168,10 +172,9 @@ class ConfirmedTable:
         registers `regs` against the current table.
 
         Dense tables keep this evaluator beside demand mode's `_evaluate`
-        on purpose: driving `_evaluate` with every key `done`
-        keeps every count, but it made dense decides 10-30 % slower
-        (membership at n=32 went from 15.7-16.4 to 19.1-20.3 ms, min of 5),
-        and `corpus_dense` runs this path."""
+        on purpose: driving `_evaluate` with every key `done` keeps every
+        count, but it made dense decides 10-30 % slower, and `corpus_dense`
+        runs this path."""
         if not nodes:
             return 1 << regs[top]
         vals = list(map(self.ones.__getitem__, regs))
@@ -258,21 +261,27 @@ class ConfirmedTable:
         return found
 
     def run_dense(self) -> int:
+        """Sweep the matched keys until nothing changes; returns the sweeps."""
         n = len(self.items)
-        get, matches, values = self.entries.get, self._matches, self._values
+        get, values = self.entries.get, self._values
+        matched = []
+        for sym in self.trs.defined():
+            for combo in itertools.product(range(n), repeat=sym.arity):
+                key = (sym, combo)
+                if bodies := self._matches(key):
+                    matched.append((key, bodies))
+        attempts, self.ops = self.ops, 0  # counted again in every sweep
         sweeps = 0
         while True:
             sweeps += 1
-            self.ops += 1  # fixpoint comparison for this sweep
+            self.ops += 1 + attempts  # fixpoint comparison, rule-match attempts
             updates = {}
-            for sym in self.trs.defined():
-                for combo in itertools.product(range(n), repeat=sym.arity):
-                    key = (sym, combo)
-                    old = value = get(key, 0)
-                    for nodes, top, regs in matches(key):
-                        value |= values(nodes, top, regs)
-                    if value != old:
-                        updates[key] = value
+            for key, bodies in matched:
+                old = value = get(key, 0)
+                for nodes, top, regs in bodies:
+                    value |= values(nodes, top, regs)
+                if value != old:
+                    updates[key] = value
             if not updates:
                 return sweeps
             for key, value in updates.items():

@@ -107,6 +107,32 @@ def test_membership_decide_dense_frozen():
     assert (stats3.input_size, stats3.generations, stats3.basic_ops) == (2, 3, 35)
 
 
+# (verdict, generations, basic_ops) of dense decides on 0110 and 01101001
+DENSE_FROZEN = {
+    "alternating": ((False, 3, 83), (False, 5, 269)),
+    "any0": ((True, 5, 215), (True, 5, 343)),
+    "bools": ((True, 3, 172), (True, 3, 300)),
+    "choose": ((True, 7, 402), (True, 11, 995)),
+    "diag": ((True, 7, 751), (True, 11, 4083)),
+    "dup_first": ((False, 4, 511), (False, 4, 1387)),
+    "last1": ((False, 7, 235), (True, 11, 679)),
+    "membership": ((False, 4, 174), (False, 5, 343)),
+    "mix": ((False, 4, 1084), (False, 4, 2696)),
+    "pairs": ((False, 3, 83), (False, 3, 143)),
+    "parity": ((True, 7, 449), (True, 11, 1193)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_FROZEN))
+def test_corpus_decide_dense_frozen(corpus, name):
+    # every sweep counts its rule-match attempts, not only the first
+    got = []
+    for bits in ("0110", "01101001"):
+        yes, stats = decide(corpus[name], bits, mode="dense")
+        got.append((yes, stats.generations, stats.basic_ops))
+    assert tuple(got) == DENSE_FROZEN[name]
+
+
 def test_stats_json_fields():
     mem = load_system("membership")
     _, stats = decide(mem, "00")
@@ -203,19 +229,20 @@ def test_demand_counts_frozen_on_shared_rhs_nodes():
         assert (yes, stats.generations, stats.basic_ops) == want
 
 
-def demand_run(monkeypatch, trs, start):
-    """A demand table and the keys evaluated while filling it, in order."""
-    evaluated = []
+def matched_run(monkeypatch, trs, start, mode="demand"):
+    """A table and the keys matched while filling it, in order; demand mode
+    matches each key it evaluates."""
+    matched = []
     original = tabulation.ConfirmedTable._matches
 
-    def counting(self, key):  # demand mode matches each key it evaluates
-        evaluated.append(key)
+    def counting(self, key):
+        matched.append(key)
         return original(self, key)
 
     with monkeypatch.context() as patch:
         patch.setattr(tabulation.ConfirmedTable, "_matches", counting)
-        table = run_tabulation(trs, start, "demand")
-    return table, evaluated
+        table = run_tabulation(trs, start, mode)
+    return table, matched
 
 
 def test_demand_evaluates_each_key_once_on_machines(monkeypatch):
@@ -225,9 +252,21 @@ def test_demand_evaluates_each_key_once_on_machines(monkeypatch):
         trs = compile_tm(load_machine(name)).trs
         for n in range(5):
             for bits in map("".join, itertools.product("01", repeat=n)):
-                _, evaluated = demand_run(monkeypatch, trs, encode_input(bits))
+                _, evaluated = matched_run(monkeypatch, trs, encode_input(bits))
                 assert evaluated, (name, bits)
                 assert len(evaluated) == len(set(evaluated)), (name, bits)
+
+
+@pytest.mark.parametrize("name, bits", [("membership", "0000"), ("diag", "0110")])
+def test_dense_matches_each_key_once(monkeypatch, name, bits):
+    # a key's matched rules depend only on the key and B, so a dense run
+    # matches every key once, however many sweeps it makes
+    trs = load_system(name)
+    table, matched = matched_run(monkeypatch, trs, encode_input(bits), "dense")
+    n = len(table.items)
+    assert table.stats.generations > 1
+    assert len(matched) == sum(n**sym.arity for sym in trs.defined())
+    assert len(set(matched)) == len(matched)
 
 
 # systems whose read graphs have cycles, each with B items
@@ -257,7 +296,7 @@ def test_demand_equals_dense_on_cyclic_read_graphs(monkeypatch, name):
     assert starts
     for start in starts:
         dense = run_tabulation(trs, start, "dense")
-        demand, evaluated = demand_run(monkeypatch, trs, start)
+        demand, evaluated = matched_run(monkeypatch, trs, start)
         where = format_term(start)
         assert demand.items == dense.items, where
         for key in evaluated:
