@@ -5,8 +5,8 @@ exponential), we saturate a table of facts
 
     Confirmed[f(s1, ..., sn) ~ t]   "f applied to data s1..sn can reach data t"
 
-over the finite data universe B of the run.  Each generation recomputes every
-entry from the previous generation: an entry becomes YES if it already was,
+over the finite data universe B of the run.  Each generation's table follows
+from the previous one's: an entry becomes YES if it already was,
 or if some rule f(l1, ..., ln) -> r matches with substitution g and t is a
 possible value of r*g, where the possible values of a term are looked up in
 the previous generation's table (data values are their own single value, and
@@ -14,14 +14,17 @@ a defined symbol's values are read off the table pointwise over all argument
 value combinations — strict, call-by-value: an argument with no values kills
 the whole combination).  Iteration stops at the first fixpoint.
 
-Two modes:
+Two modes, on one evaluator, `_evaluate`, which yields each key it reads:
 - "dense": sweep every key (every defined symbol, every argument tuple over
   B) per generation.  A key's matching rules depend only on the key and B,
-  so they are found once per run, and a sweep evaluates only the keys some
-  rule matches (no other key ever gets a value).  `basic_ops` still counts
-  one rule-match attempt per candidate rule per key per sweep, so the counts
-  are those of the reference procedure, whose operation count obeys the
-  O(n^(3k+3)) bound (k = max defined arity).
+  so they are found once per run.  The first sweep evaluates the keys some
+  rule matches (no other key ever gets a value) and records their reads; a
+  later one only the readers of the keys the previous sweep changed, since
+  any other key would read the same values again (semi-naive evaluation).
+  `basic_ops` adds a skipped key's count from its last evaluation, and one
+  rule-match attempt per candidate rule per key per sweep, so the counts
+  are those of the reference procedure, which recomputes every key in every
+  sweep and obeys the O(n^(3k+3)) bound (k = max defined arity).
 - "demand": the same saturation restricted to the keys transitively read
   while evaluating the start term, in rounds.  A round evaluates each key
   when it is first read, after the keys it reads (an explicit stack of
@@ -51,17 +54,18 @@ builds its run's B; a B item is a head symbol and its children's indices,
 and each constant is its B index.  The start term and `nf`'s term go through
 `compile_rhs` once, with no registers, so their data subterms fill the first
 slots.  `run_tabulation` returns the `ConfirmedTable` it filled, and `nf`
-evaluates on that run's own table, on a demand table only over the keys the
-last round evaluated.  `basic_ops` counts the sites a term-walking evaluator
-would, a node shared by identity once, so the counts are the same.
+runs `_evaluate` on that run's own table, on a demand table only over the
+keys the last round evaluated.  `basic_ops` counts the sites a term-walking
+evaluator would, a node shared by identity once, so the counts are the same.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Container, Iterator, Literal
 
 from . import __version__
 from .analysis import compute_b, is_b_safe, require_cons_free
@@ -79,6 +83,7 @@ from .terms import (
 
 Mode = Literal["dense", "demand"]
 Key = tuple[Symbol, tuple[int, ...]]  # a defined symbol and argument B indices
+Body = tuple[tuple, int, list[int]]  # a matched rule's nodes, top slot, registers
 
 
 @dataclass(frozen=True)
@@ -160,46 +165,22 @@ class ConfirmedTable:
                 lines.append(f"{call} => {format_term(self.items[i])}")
         return "\n".join(sorted(lines))
 
-    def _ground(self, t: Term) -> tuple[tuple, int, list[int]]:
+    def _ground(self, t: Term) -> Body:
         """Nodes, top slot and registers of a ground term in the layout of
         a rule plan: its data subterms, looked up as their own objects so
         that dict identity spares a deep compare, are the registers."""
         consts, nodes, top = compile_rhs(t, {}, 0)
         return nodes, top, [self.b[u] for u in consts]
 
-    def _values(self, nodes: tuple, top: int, regs: list[int]) -> int:
-        """Bitmask of possible values of a plan's `nodes` and `top` on its
-        registers `regs` against the current table.
-
-        Dense tables keep this evaluator beside demand mode's `_evaluate`
-        on purpose: driving `_evaluate` with every key `done` keeps every
-        count, but it made dense decides 10-30 % slower, and `corpus_dense`
-        runs this path."""
-        if not nodes:
-            return 1 << regs[top]
-        vals = list(map(self.ones.__getitem__, regs))
-        get = self.entries.get
-        tuples = self._bit_tuples
-        ops = self.ops
-        for sym, slots in nodes:
-            ops += 1  # nf cache miss
-            mask = 0
-            for combo in itertools.product(*[vals[s] for s in slots]):
-                ops += 1  # table lookup
-                mask |= get((sym, combo), 0)
-            bits = tuples.get(mask)
-            if bits is None:
-                bits = tuples[mask] = tuple(_bits(mask))
-            vals.append(bits)
-        self.ops = ops
-        return mask  # the top node is the last in post-order
-
     def _evaluate(
-        self, bodies: list[tuple[tuple, int, list[int]]], value: int, done: set[Key]
+        self, bodies: list[Body], value: int, done: Container[Key]
     ) -> Iterator[Key]:
-        """`value` joined with the possible values of `bodies`, as a generator
-        for demand mode: it yields each key it reads that is not in `done`,
-        and reads that key's value once resumed."""
+        """`value` joined with the possible values of `bodies`, the table's one
+        evaluator.  It yields each key it reads that is not in `done`, and
+        reads that key's value once resumed: demand mode evaluates the key
+        first, and a dense sweep passes an empty `done` to record every read.
+        Its count depends only on the values it reads, so a dense sweep that
+        skips a key whose reads did not change adds its last count instead."""
         ones = self.ones
         get = self.entries.get
         tuples = self._bit_tuples
@@ -235,7 +216,7 @@ class ConfirmedTable:
         self.entries[key] = value
         return True
 
-    def _matches(self, key: Key) -> list[tuple[tuple, int, list[int]]]:
+    def _matches(self, key: Key) -> list[Body]:
         """Nodes, top slot and registers of each rule of `key`'s symbol that
         matches its arguments.  On a B item, a test (r, f) checks that
         register r holds an item headed by f and appends the item's children
@@ -261,31 +242,49 @@ class ConfirmedTable:
         return found
 
     def run_dense(self) -> int:
-        """Sweep the matched keys until nothing changes; returns the sweeps."""
+        """Sweep the matched keys until nothing changes; returns the sweeps.
+
+        A sweep after the first evaluates only the readers of the keys the
+        previous one changed, and counts each other key's last evaluation
+        again: it would read the same values, so it would count the same.
+        Updates apply after a sweep, so no order of evaluation matters."""
         n = len(self.items)
-        get, values = self.entries.get, self._values
-        matched = []
+        get, evaluate = self.entries.get, self._evaluate
+        matched = {}
         for sym in self.trs.defined():
             for combo in itertools.product(range(n), repeat=sym.arity):
                 key = (sym, combo)
                 if bodies := self._matches(key):
-                    matched.append((key, bodies))
+                    matched[key] = bodies
         attempts, self.ops = self.ops, 0  # counted again in every sweep
+        readers: defaultdict[Key, dict[Key, None]] = defaultdict(dict)  # ordered sets
+        cost = dict.fromkeys(matched, 0)  # count of each key's last evaluation
+        total = 0  # their sum: what a sweep that evaluates no key would count
+        todo = matched
         sweeps = 0
         while True:
             sweeps += 1
-            self.ops += 1 + attempts  # fixpoint comparison, rule-match attempts
+            self.ops += 1 + attempts + total  # fixpoint comparison, attempts, keys
             updates = {}
-            for key, bodies in matched:
-                old = value = get(key, 0)
-                for nodes, top, regs in bodies:
-                    value |= values(nodes, top, regs)
-                if value != old:
+            for key in todo:
+                self.ops -= cost[key]  # replaced by this evaluation's count
+                ops = self.ops
+                reads = evaluate(matched[key], get(key, 0), ())
+                try:
+                    while True:
+                        readers[next(reads)][key] = None
+                except StopIteration as stop:
+                    value = stop.value
+                total += self.ops - ops - cost[key]
+                cost[key] = self.ops - ops
+                if value != get(key, 0):
                     updates[key] = value
             if not updates:
                 return sweeps
+            todo = {}
             for key, value in updates.items():
                 self._set(key, value)
+                todo |= readers[key]
 
     def run_demand(self, root: Term) -> int:
         """Saturate only the keys read while evaluating `root`, in rounds.
@@ -358,18 +357,17 @@ def nf(table: ConfirmedTable, t: Term) -> frozenset[Term]:
     demand table, a read of a key outside its `cone` raises."""
     if not is_b_safe(table.b, t):
         raise ValueError(f"term {format_term(t)} is not B-safe for this table")
-    if table.cone is None:
-        mask = table._values(*table._ground(t))
-    else:
-        try:
-            key = next(table._evaluate([table._ground(t)], 0, table.cone))
-        except StopIteration as stop:
-            mask = stop.value
-        else:
-            raise ValueError(
-                f"term {format_term(t)} reads {table._call(key)}, "
-                "which the demand run did not evaluate"
-            )
+    reads = table._evaluate([table._ground(t)], 0, table.cone or ())
+    try:
+        while True:
+            key = next(reads)  # every key of a dense table is final
+            if table.cone is not None:
+                raise ValueError(
+                    f"term {format_term(t)} reads {table._call(key)}, "
+                    "which the demand run did not evaluate"
+                )
+    except StopIteration as stop:
+        mask = stop.value
     return frozenset(table.items[i] for i in _bits(mask))
 
 

@@ -269,6 +269,68 @@ def test_dense_matches_each_key_once(monkeypatch, name, bits):
     assert len(set(matched)) == len(matched)
 
 
+def dense_sweeps(monkeypatch, trs, start):
+    """A dense table and its sweeps: per sweep, the keys evaluated with the
+    keys each one read, then the keys whose values the sweep changed."""
+    keys, sweeps = {}, [([], set())]
+    matches, evaluate, store = (
+        tabulation.ConfirmedTable._matches,
+        tabulation.ConfirmedTable._evaluate,
+        tabulation.ConfirmedTable._set,
+    )
+
+    def matching(self, key):
+        bodies = matches(self, key)
+        if bodies:  # kept by the run, so no other list takes its id
+            keys[id(bodies)] = key
+        return bodies
+
+    def evaluating(self, bodies, value, done):
+        if sweeps[-1][1]:  # the previous sweep's updates are stored
+            sweeps.append(([], set()))
+        reads = set()
+        sweeps[-1][0].append((keys[id(bodies)], reads))
+        gen = evaluate(self, bodies, value, done)
+        while True:
+            try:
+                read = next(gen)
+            except StopIteration as stop:
+                return stop.value
+            reads.add(read)
+            yield read
+
+    def setting(self, key, value):
+        sweeps[-1][1].add(key)
+        return store(self, key, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tabulation.ConfirmedTable, "_matches", matching)
+        patch.setattr(tabulation.ConfirmedTable, "_evaluate", evaluating)
+        patch.setattr(tabulation.ConfirmedTable, "_set", setting)
+        table = run_tabulation(trs, start, "dense")
+    if sweeps[-1][1]:  # the last sweep evaluated no key: none read a change
+        sweeps.append(([], set()))
+    return table, set(keys.values()), sweeps
+
+
+@pytest.mark.parametrize("name, bits", [("membership", "0000"), ("diag", "0110")])
+def test_dense_sweeps_evaluate_only_readers_of_changed_keys(monkeypatch, name, bits):
+    # a key none of whose reads changed would get the same value and count
+    # the same lookups again, so a later sweep skips it
+    trs = load_system(name)
+    table, matched, sweeps = dense_sweeps(monkeypatch, trs, encode_input(bits))
+    assert len(sweeps) == table.stats.generations > 2
+    first, _ = sweeps[0]
+    assert len(first) == len(matched) and set(dict(first)) == matched
+    last_reads = dict(first)
+    for (_, changed), (evaluated, _) in itertools.pairwise(sweeps):
+        keys = [key for key, _ in evaluated]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {k for k, reads in last_reads.items() if reads & changed}
+        last_reads.update(evaluated)
+    assert sum(len(evaluated) for evaluated, _ in sweeps) < len(sweeps) * len(matched)
+
+
 # systems whose read graphs have cycles, each with B items
 CYCLIC = {
     # f(a) reads itself
