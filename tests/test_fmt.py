@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from consfree.analysis import NotConsFreeError, NotConstrainedError, check_constrained
@@ -14,7 +17,7 @@ from consfree.terms import App, Kind, format_term, same_rules
 from consfree.tm import compile_tm
 from consfree.transforms import bottom_extend, semi_linearize
 
-from conftest import CORPUS_NAMES, MACHINES, load_machine, load_system
+from conftest import CORPUS, CORPUS_NAMES, MACHINES, load_machine, load_system
 
 MEMBERSHIP = """
 (VAR w xs)
@@ -173,3 +176,68 @@ def test_all_corpus_systems_parse(corpus):
     assert len(corpus) >= 10
     for name, trs in corpus.items():
         assert trs.rules, name
+
+
+# sha256 of every record of `test_reader_outcomes_are_pinned`; it changes only
+# if the reader accepts, builds or reports something differently
+READER_DIGEST = "fbb803e11b2b0b91017fd02ba263e5218e4ada7bd491e0c0076dd42cf9fdae3c"
+READER_SEED = 22
+INSERTS = ("x", "f", "nil", "VAR", "RULES", "->", "(", ")", ",", "-", "#", ";", "\n")
+
+
+def _mutants(rng: random.Random, text: str, count: int):
+    """`count` edits of `text`: 1-6 characters deleted, one token inserted,
+    a truncation, or a truncation that ends in a comment, with and without
+    a final newline."""
+    for _ in range(count):
+        edit = rng.randrange(5)
+        at = rng.randrange(len(text) + 1)
+        if edit == 0:
+            yield text[:at] + text[at + rng.randint(1, 6) :]
+        elif edit == 1:
+            yield text[:at] + rng.choice(INSERTS) + text[at:]
+        else:
+            yield text[:at] + ("", " ; cut\n", " ; cut")[edit - 2]
+
+
+def _outcome(read, src: str, *context) -> str:
+    """What the reader made of `src`: its result, its ParseError with span,
+    or any other exception."""
+    try:
+        return read(src, *context)
+    except ParseError as e:
+        span = e.span
+        return f"ParseError {e.message!r} {span.line}:{span.column}+{span.length}"
+    except Exception as e:  # pinned too: the reader must not start raising others
+        return f"{type(e).__name__} {e}"
+
+
+def _system(src: str) -> str:
+    trs = parse_trs(src)
+    return print_trs(trs) + " ".join(f"{s}:{s.kind.value}" for s in trs.signature)
+
+
+def _term(src: str, trs) -> str:
+    return format_term(parse_term(src, trs))
+
+
+def test_reader_outcomes_are_pinned():
+    rng = random.Random(READER_SEED)
+    records = []
+    for name in CORPUS_NAMES:
+        text = (CORPUS / f"{name}.trs").read_text(encoding="utf-8")
+        records += [_outcome(_system, src) for src in (text, *_mutants(rng, text, 100))]
+    for path in sorted(MACHINES.glob("*.tm")):
+        text = print_trs(compile_tm(load_machine(path.stem)).trs)
+        records.append(_outcome(_system, text))
+    for name in CORPUS_NAMES:
+        trs = load_system(name)
+        for base in (encode_input("0110"), trs.rules[0].lhs, trs.rules[-1].rhs):
+            text = format_term(base)
+            srcs = (text, *_mutants(rng, text, 8))
+            records += [_outcome(_term, src, trs) for src in srcs]
+    parsed = sum(not r.startswith("ParseError") for r in records)
+    assert len(records) == 12 * 101 + 3 + 12 * 3 * 9
+    assert 300 < parsed < len(records) - 600  # both paths are well exercised
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == READER_DIGEST
