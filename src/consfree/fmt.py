@@ -10,6 +10,11 @@ Identifiers are nonempty runs of [A-Za-z0-9_'].  Whitespace is insignificant.
 Symbol arities are inferred from first use and must stay consistent; the
 defined/constructor split is inferred from rule heads.  Files are UTF-8.
 
+One `re.findall` gives the tokens as bare strings.  A loop with an explicit
+stack notes each term's names in post-order, and one more loop builds every
+term from that order, one App per occurrence.  Tokens carry no offsets: an
+error scans the text again for the line and column of its token.
+
 The decision interface, `DECISION_INTERFACE`, is the reserved vocabulary for
 deciding bit strings: start/1 (defined) plus constructors cons/2, nil/0,
 true/0, false/0, 0/0, 1/0.
@@ -19,19 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
-from .terms import (
-    App,
-    Kind,
-    Rule,
-    Symbol,
-    Term,
-    Trs,
-    Var,
-    build,
-    format_term,
-    variables,
-)
+from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, format_term, variables
 
 IDENT = re.compile(r"[A-Za-z0-9_']+")
 
@@ -59,15 +54,17 @@ class ParseError(Exception):
         self.span = span
 
 
-# groups: identifier, punctuation, comment, any other character; whitespace
-# matches no group
-_TOKEN = re.compile(rf"({IDENT.pattern})|(->|[(),])|[ \t\r\n]+|(;[^\n]*)|(.)")
+# identifier, arrow, punctuation, comment, or any other non-blank character
+# (a stray one): `findall` yields the tokens as bare strings, `finditer`
+# their offsets, which are only looked for when an error is reported
+_TOKEN = re.compile(rf"{IDENT.pattern}|->|[(),]|;[^\n]*|[^ \t\r\n]")
+_NOT_NAME = frozenset(("(", ")", ",", "->", ""))
 
-# (kind, text, offset): kind is "id", "eof" or the punctuation itself
-Token = tuple[str, str, int]
-# [name, argument count, offset of the name]: a parsed node before symbols
-# are known; the count grows while the node's argument list is read
-Raw = list
+# a token is its text, without offset; "" ends the token list
+Token = str
+# the token indices of one term's names in post-order, a node's arguments
+# before it; `arity[k]` counts the arguments of the node named at k
+Raw = list[int]
 
 
 def _error(src: str, message: str, offset: int, text: str) -> ParseError:
@@ -77,151 +74,159 @@ def _error(src: str, message: str, offset: int, text: str) -> ParseError:
     return ParseError(message, SourceSpan(line, column, len(text) or 1))
 
 
-def _tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    end = len(src)
-    for m in _TOKEN.finditer(src):
-        group = m.lastindex
-        if group == 1:
-            toks.append(("id", m[1], m.start()))
-        elif group == 2:
-            toks.append((m[2], m[2], m.start()))
-        elif group == 3 and m.end() == len(src):
-            end = m.start()  # input ending in a comment ends where it starts
-        elif group == 4:
-            c = m[4]
+def _error_at(src: str, k: int, message: str) -> ParseError:
+    """The error at token k (the token count: end of input), located by
+    scanning `src` again.  The first stray character is reported instead,
+    wherever it is: with it, `src` is no list of tokens at all."""
+    toks = [m for m in _TOKEN.finditer(src) if m[0][0] != ";"]
+    for j, m in enumerate(toks):
+        c = m[0]
+        if len(c) == 1 and c not in "()," and not IDENT.match(c):
+            k = j
             message = "stray '-'" if c == "-" else f"unexpected character {c!r}"
-            raise _error(src, message, m.start(), c)
-    toks.append(("eof", "", end))
+            break
+    if k < len(toks):
+        return _error(src, message, toks[k].start(), toks[k][0])
+    comment = src.find(";", src.rfind("\n") + 1)  # input ending in one ends there
+    return _error(src, message, len(src) if comment < 0 else comment, "")
+
+
+def _tokens(src: str) -> list[Token]:
+    toks = _TOKEN.findall(src)
+    if ";" in src:
+        toks = [t for t in toks if t[0] != ";"]
+    toks.append("")
     return toks
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
-
-    def take(self, kind: str, what: str = "") -> Token:
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            found = tok[1] or "end of input"
-            message = f"expected {what or repr(kind)}, found {found!r}"
-            raise _error(self.src, message, tok[2], tok[1])
-        self.pos += 1
-        return tok
-
-    def keyword(self, word: str) -> None:
-        _, text, offset = self.take("id", f"'{word}'")
-        if text != word:
-            message = f"expected '{word}', found {text!r}"
-            raise _error(self.src, message, offset, text)
-
-    def term(self) -> list[Raw]:
-        """One term's nodes in the order their names are read, pre-order,
-        with a stack of the nodes whose argument lists are still open, so
-        that nesting depth meets no recursion limit."""
-        nodes: list[Raw] = []
-        open_nodes: list[Raw] = []
-        while True:
-            _, name, offset = self.take("id", "a term")
-            raw: Raw = [name, 0, offset]
-            nodes.append(raw)
-            if self.peek() == "(":
-                self.pos += 1
-                if self.peek() != ")":
-                    open_nodes.append(raw)
-                    continue
-                self.take(")")
-            while open_nodes:  # a node is complete: close the lists it ends
-                open_nodes[-1][1] += 1
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                self.take(")")
-                open_nodes.pop()
-            else:
-                return nodes
-
-    def file(self) -> tuple[list[str], list[tuple[list[Raw], list[Raw]]]]:
-        self.take("(")
-        self.keyword("VAR")
-        var_names: list[str] = []
-        while self.peek() == "id":
-            var_names.append(self.take("id")[1])
-        self.take(")")
-        self.take("(")
-        self.keyword("RULES")
-        raw_rules: list[tuple[list[Raw], list[Raw]]] = []
-        while self.peek() != ")":
-            lhs = self.term()
-            self.take("->", "'->'")
-            raw_rules.append((lhs, self.term()))
-        self.take(")")
-        self.take("eof", "end of file")
-        return var_names, raw_rules
+def _expect(src: str, toks: list[Token], i: int, *words: str) -> int:
+    """The index after `words`, which must be the tokens from i on."""
+    for word in words:
+        if toks[i] != word:
+            what = repr(word) if word else "end of file"
+            found = toks[i] or "end of input"
+            raise _error_at(src, i, f"expected {what}, found {found!r}")
+        i += 1
+    return i
 
 
-def _arity_error(src: str, raw: Raw, arity: int) -> ParseError:
-    name, count, offset = raw
-    message = f"{name} used with {count} arguments but has arity {arity}"
-    return _error(src, message, offset, name)
+def _term(src: str, toks: list[Token], i: int, arity: list[int]) -> tuple[Raw, int]:
+    """The term at token i and the index after it; a stack of the open nodes
+    keeps nesting depth away from the recursion limit."""
+    post: Raw = []
+    open_nodes: list[int] = []
+    while True:
+        if toks[i] in _NOT_NAME:
+            found = toks[i] or "end of input"
+            raise _error_at(src, i, f"expected a term, found {found!r}")
+        k = i
+        i += 1
+        if toks[i] == "(":
+            i += 1
+            if toks[i] != ")":
+                open_nodes.append(k)
+                continue
+            i += 1
+        post.append(k)
+        while open_nodes:  # a node is complete: close the lists it ends
+            arity[open_nodes[-1]] += 1
+            if toks[i] == ",":
+                i += 1
+                break
+            i = _expect(src, toks, i, ")")
+            post.append(open_nodes.pop())
+        else:
+            return post, i
+
+
+def _build(toks: list[Token], arity: list[int], post, heads, defined) -> list[Term]:
+    """The terms `post` lists one after another, one App per node.  A name
+    `heads` lacks becomes a symbol of this use's arity, defined if it is in
+    `defined`.  Raises ValueError for a node that does not fit its head."""
+    built: list[Term] = []
+    for k in post:
+        name, n = toks[k], arity[k]
+        head = heads.get(name)
+        if head is None:
+            kind = Kind.DEFINED if name in defined else Kind.CONSTRUCTOR
+            head = heads[name] = Symbol(name, n, kind)
+        if head.__class__ is Var:
+            if n:
+                raise ValueError(f"variable {name} applied to arguments")
+            built.append(head)
+        elif n:
+            built[-n:] = [App(head, tuple(built[-n:]))]
+        else:
+            built.append(App(head))
+    return built
+
+
+def _misfit(
+    src: str, toks: list[Token], arity: list[int], raws, heads, grow: bool
+) -> ParseError | None:
+    """The error of the first node of `raws`, in pre-order, that misfits
+    `heads`: a variable applied to arguments, an unknown name (with `grow`,
+    a new symbol of the first use's arity), or a symbol's other arity."""
+    want = {name: h.arity for name, h in heads.items() if not isinstance(h, Var)}
+    for k in sorted(k for raw in raws for k in raw):  # the names' pre-order
+        name, n = toks[k], arity[k]
+        if isinstance(heads.get(name), Var):
+            if n:
+                return _error_at(src, k, f"variable {name} applied to arguments")
+        elif name not in want and not grow:
+            return _error_at(src, k, f"unknown symbol {name}")
+        elif want.setdefault(name, n) != n:
+            message = f"{name} used with {n} arguments but has arity {want[name]}"
+            return _error_at(src, k, message)
+    return None
+
+
+def _rules_error(
+    src: str, toks: list[Token], arity: list[int], raws: list[Raw], var_of
+) -> ParseError | None:
+    """Why the rules in `raws`, left and right sides in turn, make no system:
+    arity errors come first, then variable lhs, then loose rhs variables."""
+    if error := _misfit(src, toks, arity, raws, var_of, True):
+        return error
+    for lhs in raws[::2]:
+        if toks[lhs[-1]] in var_of:
+            return _error_at(src, lhs[-1], "left-hand side must not be a variable")
+    for lhs, rhs in zip(raws[::2], raws[1::2]):
+        bound = {toks[k] for k in lhs}
+        loose = [k for k in rhs if toks[k] in var_of and toks[k] not in bound]
+        if loose:
+            name = min(toks[k] for k in loose)
+            message = f"right-hand side variable {name} does not occur on the left"
+            return _error_at(src, loose[0], message)
+    return None
 
 
 def parse_trs(src: str) -> Trs:
-    var_names, raw_rules = _Parser(src).file()
-    var_of = {name: Var(name) for name in var_names}
-    defined = {lhs[0][0] for lhs, _ in raw_rules}
-    symbols: dict[str, Symbol] = {}  # arity and kind fixed by the first use
-
-    def resolve(raw: Raw, seen: dict[str, int]) -> Var | Symbol:
-        """Check `raw`'s node; note each variable's first offset in `seen`.
-        Nodes are resolved in pre-order, so the first error in pre-order is
-        raised."""
-        name, count, offset = raw
-        var = var_of.get(name)
-        if var is not None:
-            if count:
-                message = f"variable {name} applied to arguments"
-                raise _error(src, message, offset, name)
-            seen.setdefault(name, offset)
-            return var
-        sym = symbols.get(name)
-        if sym is None:
-            kind = Kind.DEFINED if name in defined else Kind.CONSTRUCTOR
-            sym = symbols[name] = Symbol(name, count, kind)
-        elif sym.arity != count:
-            raise _arity_error(src, raw, sym.arity)
-        return sym
-
-    rules = []
-    loose_error = None
-    for lhs, rhs in raw_rules:
-        lhs_vars: dict[str, int] = {}
-        rhs_vars: dict[str, int] = {}
-        lt = build([resolve(raw, lhs_vars) for raw in lhs])
-        rt = build([resolve(raw, rhs_vars) for raw in rhs])
-        loose = [v for v in rhs_vars if v not in lhs_vars]
-        if loose:
-            if loose_error is None:
-                message = (
-                    f"right-hand side variable {min(loose)} does not occur on the left"
-                )
-                loose_error = _error(src, message, rhs_vars[loose[0]], loose[0])
-        elif isinstance(lt, App):
-            rules.append(Rule(lt, rt))
-    # arity errors anywhere come first, then variable left-hand sides
-    for lhs, _ in raw_rules:
-        name, _, offset = lhs[0]
-        if name in var_of:
-            message = "left-hand side must not be a variable"
-            raise _error(src, message, offset, name)
-    if loose_error is not None:
-        raise loose_error
-    return Trs(tuple(rules))
+    toks = _tokens(src)
+    arity = [0] * len(toks)
+    i = _expect(src, toks, 0, "(", "VAR")
+    var_of = {}
+    while toks[i] not in _NOT_NAME:
+        var_of[toks[i]] = Var(toks[i])
+        i += 1
+    i = _expect(src, toks, i, ")", "(", "RULES")
+    raws: list[Raw] = []  # each rule's left and right side
+    while toks[i] != ")":
+        lhs, i = _term(src, toks, i, arity)
+        rhs, i = _term(src, toks, _expect(src, toks, i, "->"), arity)
+        raws += lhs, rhs
+    _expect(src, toks, i, ")", "")
+    defined = {toks[lhs[-1]] for lhs in raws[::2]}  # roots are last in post-order
+    heads = dict(var_of)
+    try:
+        terms = _build(toks, arity, chain.from_iterable(raws), heads, defined)
+        trs = Trs(tuple(map(Rule, terms[::2], terms[1::2])))
+    except ValueError as failure:
+        raise _rules_error(src, toks, arity, raws, var_of) or failure
+    for name in heads:  # a stray character read as a name
+        if not IDENT.fullmatch(name):
+            raise _error_at(src, toks.index(name), "")
+    return trs
 
 
 def print_trs(trs: Trs) -> str:
@@ -240,20 +245,14 @@ def print_trs(trs: Trs) -> str:
 
 def parse_term(src: str, trs: Trs) -> Term:
     """Parse one ground term against an existing signature (CLI input)."""
-    parser = _Parser(src)
-    nodes = parser.term()
-    parser.take("eof", "end of term")
-
-    def resolve(r: Raw) -> Symbol:
-        name, count, offset = r
-        sym = trs.by_name.get(name)
-        if sym is None:
-            raise _error(src, f"unknown symbol {name}", offset, name)
-        if sym.arity != count:
-            raise _arity_error(src, r, sym.arity)
-        return sym
-
-    return build([resolve(r) for r in nodes])
+    toks = _tokens(src)
+    arity = [0] * len(toks)
+    post, i = _term(src, toks, 0, arity)
+    if toks[i]:
+        raise _error_at(src, i, f"expected end of term, found {toks[i]!r}")
+    if misfit := _misfit(src, toks, arity, [post], trs.by_name, False):
+        raise misfit
+    return _build(toks, arity, post, dict(trs.by_name), ())[0]
 
 
 def encode_input(bits: str) -> Term:

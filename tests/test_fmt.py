@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -137,6 +138,63 @@ def test_parse_term():
         parse_term("mem(cons(nil))", trs)
     with pytest.raises(ParseError, match="end of term"):
         parse_term("nil nil", trs)
+
+
+DEPTH = 5000  # far beyond the interpreter's recursion limit
+
+
+def _nest(inner: str) -> str:
+    return "g(" * DEPTH + inner + ")" * DEPTH
+
+
+def test_deep_terms_read_without_recursion():
+    assert sys.getrecursionlimit() < DEPTH
+    trs = parse_trs(f"(VAR x)(RULES f(x) -> {_nest('x')} g(x) -> x)")
+    term = parse_term(_nest("a"), parse_trs("(VAR x)(RULES g(x) -> x h -> a)"))
+    for t, leaf in ((trs.rules[0].rhs, "x"), (term, "a")):
+        depth = 0
+        while t.head is not None and t.args:
+            t, depth = t.args[0], depth + 1
+        assert (depth, str(t)) == (DEPTH, leaf)
+
+
+AFTER_COMMENTS = "(VAR x) ; (RULES # -\n(RULES ; f(x) ->\n  f(x) -> "
+DEEP_ERRORS = [
+    # at the innermost point of the deep term, in a system and as a term
+    pytest.param(
+        f"(VAR x)(RULES f(x) -> {_nest('x,')})", 1, 10025,
+        "expected a term, found ')'", id="system-innermost-syntax",
+    ),
+    pytest.param(
+        f"(VAR x)(RULES f(x) -> {_nest('#')})", 1, 10023,
+        "unexpected character '#'", id="system-innermost-stray",
+    ),
+    pytest.param(_nest("-"), 1, 10001, "stray '-'", id="term-innermost-stray"),
+    pytest.param(
+        _nest("g(a, a)"), 1, 10001,
+        "g used with 2 arguments but has arity 1", id="term-innermost-arity",
+    ),
+    # on line 3, after comments that hold punctuation and stray characters
+    pytest.param(
+        AFTER_COMMENTS + "g(x,))", 3, 15,
+        "expected a term, found ')'", id="system-line-3-syntax",
+    ),
+    pytest.param(
+        AFTER_COMMENTS + "g(x, x) g(x) -> x)", 3, 19,
+        "g used with 1 arguments but has arity 2", id="system-line-3-arity",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, line, column, message", DEEP_ERRORS)
+def test_error_spans_deep_and_after_comments(src, line, column, message):
+    with pytest.raises(ParseError) as info:
+        if src.startswith("(VAR"):
+            parse_trs(src)
+        else:
+            parse_term(src, parse_trs("(VAR x)(RULES g(x) -> x h -> a)"))
+    span = info.value.span
+    assert (span.line, span.column, info.value.message) == (line, column, message)
 
 
 def test_empty_argument_list_is_a_constant():

@@ -379,6 +379,16 @@ def test_demand_counts_frozen_on_a_cyclic_read_graph():
     assert (stats.generations, stats.basic_ops) == (2, 83)
 
 
+def test_demand_matches_each_key_once(monkeypatch):
+    # a key's matched rules depend only on the key and B, so a run matches
+    # each key once: 3 rounds over the 6 keys of r(a)'s cone make 6 calls,
+    # and basic_ops still counts the attempts of every round (83 above)
+    trs = parse_trs(CYCLIC["growing"])
+    table, matched = matched_run(monkeypatch, trs, parse_term("r(a)", trs))
+    assert len(matched) == len(set(matched)) == len(table.cone) == 6
+    assert (table.stats.generations, table.stats.basic_ops) == (2, 83)
+
+
 def test_fill_builds_no_terms(monkeypatch):
     machine = compile_tm(load_machine("contains11")).trs
     mem = load_system("membership")
