@@ -108,8 +108,8 @@ def _rewrites(
                     if eqs and not all(regs[a] == regs[b] for a, b in eqs):
                         continue
                     regs += consts
-                    for f, slots in nodes:
-                        regs.append(App(f, tuple([regs[s] for s in slots])))
+                    for f, _, pick in nodes:
+                        regs.append(App(f, pick(regs)))
                     yield pos, i, replace_at(t, pos, regs[top])
         for i in range(len(args), 0, -1):
             a = args[i - 1]

@@ -50,7 +50,11 @@ makes every constructor-rooted rhs subterm ground data or a piece of the lhs
 plan, kept by `terms.rule_index`, the one the oracle runs too: head tests
 along child-index paths for the lhs, and for the rhs the `compile_rhs`
 slots that hold the registers, then the rule's ground constants, then its
-nodes, each a defined symbol evaluated pointwise over the table.  A key
+nodes, each a defined symbol evaluated pointwise over the table.  While every
+value of a body so far is one item, as on the deterministic compiled
+machines, a node is one key, taken from the slots by the node's picker, and
+one lookup; the first value that is empty or has several items sends the
+rest of the body to the product of the slots' values.  Both count alike.  A key
 tries the rules that `rule_index` fits to its arguments' heads.  A table
 builds its run's B; a B item is a head symbol and its children's indices,
 and each constant is its B index.  The start term and `nf`'s term go through
@@ -85,7 +89,8 @@ from .terms import (
 
 Mode = Literal["dense", "demand"]
 Key = tuple[Symbol, tuple[int, ...]]  # a defined symbol and argument B indices
-Body = tuple[tuple, int, list[int]]  # a matched rule's nodes, top slot, registers
+# a matched rule's nodes (head, slots, picker), top slot and registers
+Body = tuple[tuple, int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _BitTuples(dict):
+    """A value bitmask's B indices as a tuple, made on its first lookup."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(_bits(mask))
+        return bits
+
+
 class ConfirmedTable:
     """The Confirmed table of one run from `start` over its data universe:
     `b` maps each data term to its index and `items` lists them by index.
@@ -151,7 +164,7 @@ class ConfirmedTable:
         self.kids = [tuple(b[a] for a in t.args) for t in self.items]
         self.ones = [(i,) for i in range(len(b))]  # an item as a value tuple
         self.consts = [b[t] for t in rhs_data(trs)]
-        self._bit_tuples: dict[int, tuple[int, ...]] = {}
+        self._bit_tuples = _BitTuples()
 
     def _call(self, key: Key) -> str:
         sym, combo = key
@@ -182,7 +195,13 @@ class ConfirmedTable:
         reads that key's value once resumed: demand mode evaluates the key
         first, and a dense sweep passes an empty `done` to record every read.
         Its count depends only on the values it reads, so a dense sweep that
-        skips a key whose reads did not change adds its last count instead."""
+        skips a key whose reads did not change adds its last count instead.
+
+        While every slot of a body holds one item, a node's arguments are one
+        key, picked from the slots' B indices (`one`).  At the first value
+        that is empty or has several items, the rest of the body runs over
+        the product of the slots' item tuples (`vals`).  Both paths count one
+        cache miss per node and one lookup per key."""
         ones = self.ones
         get = self.entries.get
         tuples = self._bit_tuples
@@ -191,20 +210,32 @@ class ConfirmedTable:
             if not nodes:
                 value |= 1 << regs[top]
                 continue
-            vals = list(map(ones.__getitem__, regs))
-            for sym, slots in nodes:
+            one = regs.copy()  # each slot's one B index so far
+            rest = iter(nodes)
+            for sym, _, pick in rest:
+                ops += 2  # nf cache miss, table lookup
+                key = (sym, pick(one))
+                if key not in done:
+                    yield key
+                mask = get(key, 0)
+                if not mask or mask & mask - 1:
+                    break
+                one.append(mask.bit_length() - 1)
+            else:
+                value |= mask
+                continue
+            vals = list(map(ones.__getitem__, one))
+            vals.append(tuples[mask])
+            for sym, _, pick in rest:
                 ops += 1  # nf cache miss
                 mask = 0
-                for combo in itertools.product(*[vals[s] for s in slots]):
+                for combo in itertools.product(*pick(vals)):
                     key = (sym, combo)
                     ops += 1  # table lookup
                     if key not in done:
                         yield key
                     mask |= get(key, 0)
-                bits = tuples.get(mask)
-                if bits is None:
-                    bits = tuples[mask] = tuple(_bits(mask))
-                vals.append(bits)
+                vals.append(tuples[mask])
             value |= mask
         self.ops += ops
         return value

@@ -12,6 +12,7 @@ All functions here are pure.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, ClassVar, Optional, Sequence, TypeVar
@@ -497,9 +498,10 @@ def compile_rhs(t: Term, where: dict[Term, int], base: int) -> tuple[tuple, tupl
 
     Slots below `base` are registers.  Then come the consts, `t`'s data
     subterms in pre-order, and then one slot per node, in post-order: a
-    head and its arguments' slots.  A data subterm is a const, a subterm
-    found in `where` (by equality) is its register there, and any other
-    subterm is a node.  A subterm shared by identity is compiled once.
+    head, its arguments' slots and their picker, which maps a slot list
+    `regs` to `tuple(regs[s] for s in slots)`.  A data subterm is a const,
+    a subterm found in `where` (by equality) is its register there, and any
+    other subterm is a node.  A subterm shared by identity is compiled once.
     `top` is the slot of `t`."""
     consts: list[Term] = []
     nodes: list[tuple[Symbol, tuple[int, ...]]] = []
@@ -521,11 +523,21 @@ def compile_rhs(t: Term, where: dict[Term, int], base: int) -> tuple[tuple, tupl
                 todo.extend((a, False) for a in reversed(u.args))
     top = slot[id(t)]
     n = base + len(consts)  # node k, slot ~k in the walk, is slot n + k
-    return (
-        tuple(consts),
-        tuple((f, tuple([s if s >= 0 else n + ~s for s in args])) for f, args in nodes),
-        top if top >= 0 else n + ~top,
-    )
+    compiled = []
+    for f, args in nodes:
+        slots = tuple([s if s >= 0 else n + ~s for s in args])
+        compiled.append((f, slots, _picker(slots)))
+    return tuple(consts), tuple(compiled), top if top >= 0 else n + ~top
+
+
+def _picker(slots: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """`regs -> tuple(regs[s] for s in slots)` with no loop per call."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        (s,) = slots
+        return lambda regs: (regs[s],)
+    return lambda regs: ()
 
 
 def canonical_rule(rule: Rule) -> Rule:

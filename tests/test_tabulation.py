@@ -407,6 +407,29 @@ def test_fill_builds_no_terms(monkeypatch):
     assert built == []
 
 
+
+def test_single_valued_cones_take_no_product(monkeypatch):
+    # the machines are deterministic, so every value on their cones is one
+    # item and each node is one picked key; `choose` has values of several
+    # items, so its fill still takes the product of the slots' values
+    product = itertools.product
+    calls = []
+
+    def counting(*values, **repeat):
+        if not repeat:  # not `run_dense` listing a symbol's keys
+            calls.append(values)
+        return product(*values, **repeat)
+
+    def products(trs, mode):
+        calls.clear()
+        start = encode_input("0110")
+        assert nf(run_tabulation(trs, start, mode), start)
+        return len(calls)
+
+    monkeypatch.setattr(tabulation.itertools, "product", counting)
+    assert products(compile_tm(load_machine("contains11")).trs, "demand") == 0
+    assert products(load_system("choose"), "dense") > 0
+
 def test_demand_nf_reads_its_cone_exactly(corpus):
     # a demand table answers for every key its last round evaluated, with
     # the dense value, and refuses every other key rather than read it empty

@@ -302,14 +302,14 @@ def test_compile_rhs():
     # not at all: a register is not compiled below
     assert consts == (zero, one) and consts[0] is zero and consts[1] is one
     # post-order from slot 4: f(x) first and once, although `shared` occurs twice
-    assert nodes == (
+    assert [(f, slots) for f, slots, _ in nodes] == [
         (F, (0,)),  # 4
         (G, (1, 2)),  # 5: g(piece, zero)
         (G, (3, 2)),  # 6: g(one, zero)
         (G, (4, 6)),  # 7: g(shared, ...)
         (G, (5, 7)),  # 8
         (G, (4, 8)),  # 9: t
-    )
+    ]
     assert top == 9
     assert compile_rhs(x, where, 2) == ((), (), 0)
     assert compile_rhs(one, where, 2) == ((one,), (), 2)
@@ -339,6 +339,8 @@ def test_every_plan_is_well_formed(corpus):
     systems = dict(corpus)
     for name in ("contains11", "parity", "square"):
         systems[name] = compile_tm(load_machine(name)).trs
+    probe = [f"r{s}" for s in range(200)]  # a distinct value per slot
+    arities = set()
     for name, trs in systems.items():
         index, pool = rule_index(trs), rhs_data(trs)
         for i, rule in enumerate(trs.rules):
@@ -347,16 +349,20 @@ def test_every_plan_is_well_formed(corpus):
             _, _, consts, slots, nodes, top = index.plans[i]
             regs = len(head_tests(lhs)[1])
             first = regs + len(consts)  # the first node's slot
-            for k, (_, args) in enumerate(nodes):
+            for k, (_, args, pick) in enumerate(nodes):
                 assert all(0 <= s < first + k for s in args), (name, i)
+                assert pick(probe) == tuple(probe[s] for s in args), (name, i)
+                arities.add(len(args))
             # each const is read, so the consts fill the slots after the registers
-            read = {top}.union(*(args for _, args in nodes))
+            read = {top}.union(*(args for _, args, _ in nodes))
             assert set(range(regs, first)) <= read, (name, i)
             if nodes:
                 assert top == first + len(nodes) - 1, (name, i)
             else:
                 assert top < first, (name, i)
             assert [pool[s] for s in slots] == list(consts), (name, i)
+    # every picker shape: `coin` and `a` take none, the machines take several
+    assert {0, 1, 2, 3} <= arities
 
 
 def test_canonical_rule_and_same_rules():
