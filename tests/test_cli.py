@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from consfree import __version__, cli, engine
 from consfree.cli import main
 from consfree.fmt import parse_trs, print_trs
 from consfree.terms import Trs
+from consfree.tm import compile_tm, parse_tm
 from consfree.transforms import bottom_extend
 
 from conftest import CORPUS, MACHINES, ROOT
@@ -561,3 +564,37 @@ def test_console_script_installed(tmp_path):
     proc = run_script("00")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "yes"
+
+
+
+CHECK_DIGEST = "7fb31a7dcc2a06243db683b16ded3922b67ad243e99185d0e5ed23c91e94917b"
+
+
+def test_check_outcomes_are_pinned(capsys, tmp_path):
+    # exit code, stdout and stderr of `check` and `check --json` on each
+    # corpus file and the fuzz suite's seeded mutants of it, and on the three
+    # compiled machines printed and read back
+    from test_fuzz import MUTANTS, SEED, mutate
+
+    sources = []
+    for source in sorted(CORPUS.glob("*.trs")):
+        rng = random.Random(f"{SEED}:{source.name}")
+        text = source.read_text(encoding="utf-8")
+        sources += [text, *(mutate(rng, text) for _ in range(MUTANTS))]
+    for machine in sorted(MACHINES.glob("*.tm")):
+        sources.append(print_trs(compile_tm(parse_tm(machine.read_text())).trs))
+    path = tmp_path / "input.trs"
+    records, parsed = [], []
+    for text in sources:
+        path.write_text(text, encoding="utf-8")
+        for options in ((), ("--json",)):
+            outcome = run(capsys, "check", str(path), *options)
+            records.append(repr(outcome))
+        if outcome[1]:
+            parsed.append(json.loads(outcome[1]))
+    assert (len(sources), len(parsed)) == (12 * (MUTANTS + 1) + 3, 217)
+    assert sum(not v["cons_free"] for v in parsed) == 12
+    assert sum(not v["semi_linear"] for v in parsed) == 36
+    assert str(tmp_path) not in "".join(records)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == CHECK_DIGEST
