@@ -1,5 +1,6 @@
 """Static analyses: cons-freeness, semi-linearity, constrainedness, and the
-bounded data universe used by the tabulation engine.
+bounded data universe used by the tabulation engine.  The checks and the
+data pool read one record per system, `terms.static_facts`: one walk per rule.
 
 A rule is cons-free when (1) its left-hand side is linear, (2) the lhs is a
 defined symbol applied to constructor terms, and (3) every constructor-rooted
@@ -13,7 +14,6 @@ is what makes the tabulation procedure polynomial.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -26,11 +26,13 @@ from .terms import (
     Trs,
     Var,
     format_term,
-    is_constructor_term,
     is_data,
     per_system,
     rhs_data,
+    rule_facts,
+    static_facts,
     subterms,
+    variables,
 )
 
 
@@ -60,31 +62,14 @@ class Violation:
 
 def check_cons_free(trs: Trs) -> list[Violation]:
     """All cons-freeness violations, in rule order; empty means cons-free.
-
-    Computed once per system; every call returns a fresh list.
-    """
+    Computed once per system; every call returns a fresh list."""
     return list(_violations(trs))
 
 
 @per_system
 def _violations(trs: Trs) -> tuple[Violation, ...]:
-    out: list[Violation] = []
-    for i, rule in enumerate(trs.rules):
-        lhs = rule.lhs
-        counts = Counter(t.name for t in subterms(lhs) if isinstance(t, Var))
-        for name, n in sorted(counts.items()):
-            if n > 1:
-                out.append(Violation(i, 1, Var(name)))
-        for arg in lhs.args:
-            if not is_constructor_term(arg):
-                out.append(Violation(i, 2, arg))
-        lhs_strict = set(subterms(lhs)[1:])
-        for t in subterms(rule.rhs):
-            if isinstance(t, App) and t.head.kind is Kind.CONSTRUCTOR:
-                if is_data(t) or t in lhs_strict:
-                    continue
-                out.append(Violation(i, 3, t))
-    return tuple(out)
+    facts = static_facts(trs)
+    return tuple(Violation(i, *v) for i, f in enumerate(facts) for v in f.violations)
 
 
 def require_cons_free(trs: Trs) -> None:
@@ -100,31 +85,12 @@ def dv(lhs: App) -> set[str]:
 
 def check_semi_linear(rule: Rule) -> bool:
     """Each direct lhs variable occurs at most once in the rhs."""
-    uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
-    return all(uses[x] <= 1 for x in dv(rule.lhs))
+    return rule_facts(rule).semi_linear
 
 
 @dataclass(frozen=True)
 class ConstrainedWitness:
     a_set: frozenset[Symbol]
-
-
-def _forced_symbols(trs: Trs) -> set[Symbol]:
-    """Roots forced into the witness: every rhs subterm strictly containing a
-    direct lhs variable must be headed by a witness symbol."""
-    forced: set[Symbol] = set()
-    for rule in trs.rules:
-        direct = dv(rule.lhs)
-        holds: dict[int, bool] = {}  # id of a subterm: is or holds a direct variable
-        for t in reversed(subterms(rule.rhs)):  # each subterm after its arguments
-            if isinstance(t, Var):
-                holds[id(t)] = t.name in direct
-            elif any(holds[id(a)] for a in t.args):
-                forced.add(t.head)
-                holds[id(t)] = True
-            else:
-                holds[id(t)] = False
-    return forced
 
 
 def check_constrained(trs: Trs) -> ConstrainedWitness:
@@ -139,18 +105,18 @@ def check_constrained(trs: Trs) -> ConstrainedWitness:
     first rule that is forced into A but is not semi-linear.
     """
     require_cons_free(trs)
-    forced = _forced_symbols(trs)
+    forced = frozenset().union(*(f.forced for f in static_facts(trs)))
     for sym in forced:
         # cons-freeness already excludes constructors above lhs variables
         assert sym.kind is Kind.DEFINED, f"constructor {sym.name} forced into A"
-    for i, rule in enumerate(trs.rules):
-        if rule.lhs.head in forced and not check_semi_linear(rule):
+    for i, (rule, f) in enumerate(zip(trs.rules, static_facts(trs))):
+        if rule.lhs.head in forced and not f.semi_linear:
             raise NotConstrainedError(
                 f"rule {i} ({rule}) is headed by {rule.lhs.head.name}, which the "
                 "right-hand sides force into the witness set, but the rule is "
                 "not semi-linear"
             )
-    return ConstrainedWitness(frozenset(forced))
+    return ConstrainedWitness(forced)
 
 
 def verify_constrained_witness(trs: Trs, witness: ConstrainedWitness) -> bool:
@@ -158,18 +124,14 @@ def verify_constrained_witness(trs: Trs, witness: ConstrainedWitness) -> bool:
     witness was found): every rule headed by a witness symbol is semi-linear,
     and every rhs subterm strictly containing a direct lhs variable has its
     root in the witness."""
+    a_set = witness.a_set
     for rule in trs.rules:
-        if rule.lhs.head in witness.a_set and not check_semi_linear(rule):
+        if rule.lhs.head in a_set and not check_semi_linear(rule):
             return False
         direct = dv(rule.lhs)
         for t in subterms(rule.rhs):
-            if isinstance(t, Var):
-                continue
-            if t.head in witness.a_set:
-                continue
-            for s in subterms(t)[1:]:
-                if isinstance(s, Var) and s.name in direct:
-                    return False
+            if isinstance(t, App) and t.head not in a_set and direct & variables(t):
+                return False
     return True
 
 

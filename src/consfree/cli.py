@@ -23,7 +23,6 @@ from .analysis import (
     b_safe_terms,
     check_cons_free,
     check_constrained,
-    check_semi_linear,
 )
 from .engine import Budget, Oracle, leftmost_trace, reachable_data
 from .fmt import (
@@ -36,7 +35,7 @@ from .fmt import (
     require_decision_interface,
 )
 from .tabulation import decide
-from .terms import App, Trs, format_term
+from .terms import App, Trs, format_term, static_facts
 from .tm import TmParseError, compile_tm, parse_tm, simulate_tm
 from .transforms import (
     bottom_extend,
@@ -73,10 +72,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     trs = _load_trs(args.path)
     violations = check_cons_free(trs)
     cons_free = not violations
-    bad_rules = [i for i, r in enumerate(trs.rules) if not check_semi_linear(r)]
-    semi_linear = not bad_rules
-    witness = None
-    constrained_msg = None
+    bad_rules = [i for i, f in enumerate(static_facts(trs)) if not f.semi_linear]
+    witness = constrained_msg = None
     if cons_free:
         try:
             witness = check_constrained(trs)
@@ -84,21 +81,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             constrained_msg = str(exc)
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "cons_free": cons_free,
-                    "violations": [v.describe(trs) for v in violations],
-                    "semi_linear": semi_linear,
-                    "non_semi_linear_rules": bad_rules,
-                    "constrained": None if not cons_free else witness is not None,
-                    "witness": sorted(s.name for s in witness.a_set)
-                    if witness
-                    else None,
-                    "version": __version__,
-                }
-            )
-        )
+        report = {
+            "cons_free": cons_free,
+            "violations": [v.describe(trs) for v in violations],
+            "semi_linear": not bad_rules,
+            "non_semi_linear_rules": bad_rules,
+            "constrained": None if not cons_free else witness is not None,
+            "witness": witness and sorted(s.name for s in witness.a_set),
+            "version": __version__,
+        }
+        print(json.dumps(report))
     else:
         if cons_free:
             print("cons-free: ok")
@@ -106,14 +98,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"cons-free: {len(violations)} violation(s)")
             for v in violations:
                 print(f"  {v.describe(trs)}")
-        if semi_linear:
-            print("semi-linear: ok (all rules)")
+        if bad_rules:
+            rules = ", ".join(map(str, bad_rules))
+            print(f"semi-linear: rule(s) {rules} duplicate a direct variable")
         else:
-            print(
-                "semi-linear: rule(s) "
-                + ", ".join(map(str, bad_rules))
-                + " duplicate a direct variable"
-            )
+            print("semi-linear: ok (all rules)")
         if not cons_free:
             print("constrained: skipped (requires cons-free)")
         elif witness is not None:

@@ -15,7 +15,7 @@ import functools
 import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Optional, Sequence, TypeVar
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, TypeVar
 
 
 class Kind(Enum):
@@ -331,7 +331,7 @@ class Trs:
     and `by_name` each symbol's name to the symbol.
     `memo` holds, for each function decorated with `per_system`, its result
     on this system: facts computed once because they do not depend on the
-    input (the cons-free verdict, the right-hand-side data pool, ...).  All
+    input (the static facts, the right-hand-side data pool, ...).  All
     three live and die with this object and take no part in equality, so two
     equal systems never share a memo.
     """
@@ -412,12 +412,72 @@ def per_system(compute: Callable[[Trs], _T]) -> Callable[[Trs], _T]:
     return functools.wraps(compute)(cached)
 
 
+class RuleFacts(NamedTuple):
+    """One rule's static facts from `rule_facts`, in tuples: each system keeps them."""
+
+    violations: tuple[tuple[int, Term], ...]  # (condition 1, 2 or 3, subterm)
+    uses: dict[str, int]  # rhs occurrences of each direct (bare argument) lhs variable
+    forced: tuple[Symbol, ...]  # heads of the rhs subterms above a direct variable
+    data: tuple[Term, ...]  # rhs data subterms in pre-order, repeats included
+    semi_linear = property(lambda self: all(n <= 1 for n in self.uses.values()))
+
+
+def rule_facts(rule: Rule) -> RuleFacts:
+    """One iterative walk of the lhs and one of the rhs.  The violations are
+    each repeated lhs variable by name, each lhs argument that holds a
+    defined symbol, and each constructor-rooted rhs subterm, in pre-order,
+    that is neither data nor a strict lhs subterm."""
+    args = rule.lhs.args
+    seen, twice = set(), set()  # lhs variable names met, met again
+    strict = []  # lhs subterms below the root that are neither variables nor data
+    todo = list(args)
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Var:
+            (twice if u.name in seen else seen).add(u.name)
+        elif not u.is_data:
+            strict.append(u)
+            todo += u.args
+    violations = [(1, Var(name)) for name in sorted(twice)]
+    if any(s.head.kind is Kind.DEFINED for s in strict):  # not cons-free: find where
+        violations += [(2, a) for a in args if not is_constructor_term(a)]
+    uses = {a.name: 0 for a in args if a.__class__ is Var}
+    forced, data, lhs_strict = set(), [], None  # lhs_strict: built on first need
+    above, done = [], 0  # the current node's ancestors' heads; above[:done] forced
+    walk = [rule.rhs]  # pre-order; None closes the innermost open node
+    while walk:
+        u = walk.pop()
+        if u is None:
+            above.pop()
+            done = min(done, len(above))
+        elif u.__class__ is Var:
+            if u.name in uses:
+                uses[u.name] += 1
+                forced.update(above[done:])
+                done = len(above)
+        elif u.is_data:
+            data += subterms(u)
+        else:
+            above.append(u.head)
+            if u.head.kind is Kind.CONSTRUCTOR:
+                lhs_strict = set(strict) if lhs_strict is None else lhs_strict
+                if u not in lhs_strict:
+                    violations.append((3, u))
+            walk.append(None)
+            walk += reversed(u.args)
+    return RuleFacts(tuple(violations), uses, tuple(forced), tuple(data))
+
+
+@per_system
+def static_facts(trs: Trs) -> tuple[RuleFacts, ...]:
+    """Each rule's `rule_facts`, in rule order: one walk per rule and system."""
+    return tuple(map(rule_facts, trs.rules))
+
+
 @per_system
 def rhs_data(trs: Trs) -> tuple[Term, ...]:
     """Data subterms of the right-hand sides in file order, each once."""
-    return tuple(
-        dict.fromkeys(s for r in trs.rules for s in subterms(r.rhs) if s.is_data)
-    )
+    return tuple(dict.fromkeys(t for facts in static_facts(trs) for t in facts.data))
 
 
 class _RuleIndex(dict):

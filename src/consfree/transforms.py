@@ -15,7 +15,6 @@ bot itself.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator
 
 from .analysis import check_constrained, require_cons_free
@@ -32,7 +31,7 @@ from .terms import (
     build,
     format_term,
     is_constructor_term,
-    subterms,
+    static_facts,
     variables,
 )
 
@@ -45,12 +44,11 @@ def compute_counts(trs: Trs) -> Widening:
     arguments, in one pass over the rules: the most right-hand-side uses of
     an argument by one rule where it is a bare variable, and at least 1."""
     widths = {s: [1] * s.arity for s in trs.defined()}
-    for rule in trs.rules:
-        uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
+    for rule, facts in zip(trs.rules, static_facts(trs)):
         w = widths[rule.lhs.head]
         for i, arg in enumerate(rule.lhs.args):
             if isinstance(arg, Var):
-                w[i] = max(w[i], uses[arg.name])
+                w[i] = max(w[i], facts.uses[arg.name])
     return {s: (Symbol(s.name, sum(w), s.kind), tuple(w)) for s, w in widths.items()}
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from consfree import analysis, terms
 from consfree.analysis import (
     ConstrainedWitness,
     NotConsFreeError,
@@ -15,9 +16,11 @@ from consfree.analysis import (
     verify_constrained_witness,
 )
 from consfree.fmt import encode_input, parse_term, parse_trs
-from consfree.terms import App, format_term, is_data, size
+from consfree.tabulation import decide
+from consfree.terms import App, format_term, is_data, rhs_data, size
+from consfree.transforms import compute_counts
 
-from conftest import CORPUS_NAMES, load_system
+from conftest import CORPUS, CORPUS_NAMES, load_system
 
 # frozen witness sets for the bundled systems
 WITNESSES = {
@@ -138,8 +141,58 @@ def test_not_constrained():
     trs = parse_trs(
         "(VAR x y)(RULES f(x) -> g(x, x) g(x, y) -> h(x, x) h(x, y) -> x)"
     )
-    with pytest.raises(NotConstrainedError, match="g"):
+    with pytest.raises(NotConstrainedError) as caught:
         check_constrained(trs)
+    # f duplicates x too, but nothing forces f into the witness
+    assert str(caught.value) == (
+        "rule 1 (g(x, y) -> h(x, x)) is headed by g, which the right-hand sides "
+        "force into the witness set, but the rule is not semi-linear"
+    )
+
+
+def test_not_constrained_names_the_first_forced_rule():
+    # f forces g and h, and both duplicate x; h's rule comes first
+    trs = parse_trs(
+        "(VAR x y)(RULES f(x) -> g(h(x)) h(x) -> k(x, x) g(x) -> k(x, x) k(x, y) -> x)"
+    )
+    with pytest.raises(NotConstrainedError) as caught:
+        check_constrained(trs)
+    assert str(caught.value).startswith("rule 1 (h(x) -> k(x, x)) is headed by h,")
+
+
+def test_every_head_above_a_direct_variable_is_forced():
+    trs = parse_trs("(VAR x)(RULES f(x) -> g(h(x)) g(x) -> x h(x) -> x)")
+    assert {s.name for s in check_constrained(trs).a_set} == {"g", "h"}
+    # every head above x or y is forced, and no other: n(a) holds neither, so
+    # n stays out although its rule duplicates x, while p(x, x) forces p
+    trs = parse_trs(
+        "(VAR x y z)(RULES f(x, y) -> g(h(x), k(m(y)), n(a)) g(x, y, z) -> x"
+        "  h(x) -> x  k(x) -> x  m(x) -> x  n(x) -> p(x, x)  p(x, y) -> y)"
+    )
+    assert {s.name for s in check_constrained(trs).a_set} == {"g", "h", "k", "m", "p"}
+
+
+def test_static_facts_walk_each_rule_once_per_system(monkeypatch):
+    walked = []
+
+    def counting(rule):
+        walked.append(rule)
+        return walk(rule)
+
+    walk = terms.rule_facts
+    for module in (terms, analysis):
+        monkeypatch.setattr(module, "rule_facts", counting)
+    text = (CORPUS / "mix.trs").read_text(encoding="utf-8")
+    for _ in range(2):  # a second parse is a new system and starts afresh
+        trs = parse_trs(text)
+        walked.clear()
+        for _ in range(2):
+            check_cons_free(trs)
+            check_constrained(trs)
+            rhs_data(trs)
+            compute_counts(trs)
+            decide(trs, "0110", "demand")
+        assert walked == list(trs.rules)
 
 
 def test_compute_b_contents_and_order():

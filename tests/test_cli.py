@@ -17,6 +17,7 @@ from consfree.tm import compile_tm, parse_tm
 from consfree.transforms import bottom_extend
 
 from conftest import CORPUS, MACHINES, ROOT
+from test_fuzz import MUTANTS, SEED, mutate
 
 MEM = str(CORPUS / "membership.trs")
 DUP = str(CORPUS / "dup_first.trs")
@@ -566,6 +567,21 @@ def test_console_script_installed(tmp_path):
     assert proc.stdout.splitlines()[0] == "yes"
 
 
+def test_module_runs_from_a_checkout():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "consfree", "check", "corpus/membership.trs"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "cons-free: ok"
+
 
 CHECK_DIGEST = "7fb31a7dcc2a06243db683b16ded3922b67ad243e99185d0e5ed23c91e94917b"
 
@@ -574,8 +590,6 @@ def test_check_outcomes_are_pinned(capsys, tmp_path):
     # exit code, stdout and stderr of `check` and `check --json` on each
     # corpus file and the fuzz suite's seeded mutants of it, and on the three
     # compiled machines printed and read back
-    from test_fuzz import MUTANTS, SEED, mutate
-
     sources = []
     for source in sorted(CORPUS.glob("*.trs")):
         rng = random.Random(f"{SEED}:{source.name}")
