@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from consfree.terms import (
 from consfree.tabulation import decide
 from consfree.transforms import bottom_extend, semi_linearize
 
-from conftest import ROOT, load_system
+from conftest import CORPUS_NAMES, ROOT, load_system
 
 SRC = ROOT / "src"
 
@@ -146,6 +147,42 @@ def test_repeated_lhs_variables_must_bind_equal_terms():
     assert step_full(trs, parse_term("eq(a, f(s(a)))", trs)) == []
     for t in (same, differ, nested):
         assert steps_of(step_full, trs, t) == reference(trs, t, False)
+
+
+# sha256 of every record of `test_oracle_outcomes_are_pinned`; it changes only
+# if a search reaches, counts or cuts something differently
+ORACLE_DIGEST = "2ee2b3f424f3256a5b9170d5a1246df387dbd2262a5892df99dda6bc796f4273"
+
+
+def test_oracle_outcomes_are_pinned():
+    # every corpus system, its semi-linearization and that system's bottom
+    # extension, under both strategies: one unbudgeted search over every
+    # B-safe start up to 4 nodes, then each start alone under two budgets (a
+    # shared memo would keep the budgeted runs from ever hitting the step
+    # budget).  A record is the start, its sorted results, the terms it added
+    # and its cut reason.
+    def record(start, results, added, why):
+        return f"{start} {' '.join(sorted(map(format_term, results)))} {added} {why}"
+
+    records = []
+    for name in CORPUS_NAMES:
+        trs = load_system(name)
+        star = semi_linearize(trs)
+        for system in (trs, star, bottom_extend(star)):
+            starts = list(b_safe_terms(system, 4))
+            for strategy in ("full", "cbv"):
+                oracle = Oracle(system, strategy)
+                records += [record(s, found, added, oracle.cut.get(s, "none"))
+                            for s, found, added in oracle.search(starts)]
+                for budget in (Budget(3, 50), Budget(8, 6)):
+                    for s in starts:
+                        r = reachable_data(system, s, strategy, budget)
+                        records.append(record(s, r.results, r.explored, r.truncated_by))
+    assert len(records) == 91_530
+    assert sum(r.endswith(" step_budget") for r in records) == 9_834
+    assert sum(r.endswith(" size_budget") for r in records) == 294
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == ORACLE_DIGEST
 
 
 def test_budget_validation():
