@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .terms import (
+    CONSTRUCTOR,
+    DEFINED,
     App,
-    Kind,
     Rule,
     Symbol,
     Term,
@@ -108,7 +109,7 @@ def check_constrained(trs: Trs) -> ConstrainedWitness:
     forced = frozenset().union(*(f.forced for f in static_facts(trs)))
     for sym in forced:
         # cons-freeness already excludes constructors above lhs variables
-        assert sym.kind is Kind.DEFINED, f"constructor {sym.name} forced into A"
+        assert sym.kind is DEFINED, f"constructor {sym.name} forced into A"
     for i, (rule, f) in enumerate(zip(trs.rules, static_facts(trs))):
         if rule.lhs.head in forced and not f.semi_linear:
             raise NotConstrainedError(
@@ -151,7 +152,7 @@ def is_b_safe(b: dict[Term, int], t: Term) -> bool:
         u = todo.pop()
         if u in b:
             continue
-        if not isinstance(u, App) or u.head.kind is not Kind.DEFINED:
+        if not isinstance(u, App) or u.head.kind is not DEFINED:
             return False
         todo.extend(u.args)
     return True
@@ -175,7 +176,7 @@ def b_safe_terms(trs: Trs, max_size: int) -> Iterator[Term]:
                 continue
             for split in _compositions(budget, sym.arity):
                 for args in itertools.product(*(by_sz[p] for p in split)):
-                    if sym.kind is Kind.CONSTRUCTOR and not all(
+                    if sym.kind is CONSTRUCTOR and not all(
                         is_data(a) for a in args
                     ):
                         continue  # no defined symbols below a constructor

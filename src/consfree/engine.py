@@ -12,7 +12,10 @@ A step never calls `match` or `apply`.  It runs the rule plans that
 head tests, equality tests for a repeated lhs variable, and a post-order
 builder of the rhs over the matched subterms and shared data constants.  The
 rules tried at a redex are those that `rule_index` fits to its argument
-heads.
+heads.  Successors are made lazily, one at a time: each subterm of the walk
+carries its parent chain, a successor is rebuilt bottom-up along it, and a
+position is made only for a `ReductionStep`.  Kinds are compared against the
+`terms` constants, not looked up on `Kind`.
 
 Two strategies: `full` rewrites anywhere; `cbv` (call-by-value) rewrites only
 redexes whose arguments are all data, so a nullary defined symbol is always
@@ -26,8 +29,8 @@ from typing import Iterable, Iterator, Literal
 
 from .fmt import TRUE, encode_input, require_decision_interface
 from .terms import (
+    DEFINED,
     App,
-    Kind,
     Position,
     Term,
     Trs,
@@ -76,27 +79,26 @@ class ReachabilityResult:
 
 
 def _rewrites(
-    trs: Trs, t: Term, strategy: Strategy
-) -> Iterator[tuple[Position, int, Term]]:
-    """One-step successors as (position, rule index, result), in
+    rules: dict, t: Term, cbv: bool
+) -> Iterator[tuple[tuple | None, int, Term]]:
+    """One-step successors as (chain, rule index, result), lazily and in
     deterministic order: positions pre-order (leftmost-outermost first),
-    rules in file order at each position.  One walk with an explicit stack;
-    data subtrees hold no redex and are skipped.  A redex tries the rules
-    that `rule_index` fits to its argument heads, each by its plan there:
-    the registers are the matched subterms, so a rhs piece equal to an lhs
-    piece is the subject's own object, not a copy."""
+    rules in file order at each position; `rules` is the `rule_index`, and
+    `cbv` skips redexes with a non-data argument.  One walk with an explicit
+    stack; data subtrees hold no redex and are skipped.  A subterm's chain is
+    None at the root, else (parent, child index from 0, parent's chain).  A
+    redex tries the rules that `rules` fits to its argument heads, each by
+    its plan there: the registers are the matched subterms, so a rhs piece
+    equal to an lhs piece is the subject's own object, not a copy.  The
+    result is rebuilt bottom-up along the chain, sharing the siblings."""
     if not isinstance(t, App) or t.is_data:
         return
-    cbv = strategy == "cbv"
-    index = rule_index(trs)
-    todo: list[tuple[Position, App]] = [((), t)]
+    todo: list[tuple[App, tuple | None]] = [(t, None)]
     while todo:
-        pos, sub = todo.pop()
+        sub, chain = todo.pop()
         args = sub.args
-        if sub.head.kind is Kind.DEFINED and not (
-            cbv and not all(a.is_data for a in args)
-        ):
-            fits = index[(sub.head, tuple([a.head for a in args]))]
+        if sub.head.kind is DEFINED and not (cbv and not all(a.is_data for a in args)):
+            fits = rules[(sub.head, tuple([a.head for a in args]))]
             for i, (tests, eqs, consts, _, nodes, top) in fits:
                 regs = list(args)
                 for r, f in tests:
@@ -110,17 +112,27 @@ def _rewrites(
                     regs += consts
                     for f, _, pick in nodes:
                         regs.append(App(f, pick(regs)))
-                    yield pos, i, replace_at(t, pos, regs[top])
-        for i in range(len(args), 0, -1):
-            a = args[i - 1]
+                    u, up = regs[top], chain
+                    while up is not None:
+                        parent, k, up = up
+                        row = list(parent.args)
+                        row[k] = u
+                        u = App(parent.head, tuple(row))
+                    yield chain, i, u
+        for k in range(len(args) - 1, -1, -1):
+            a = args[k]
             if not a.is_data and isinstance(a, App):
-                todo.append(((*pos, i), a))
+                todo.append((a, (sub, k, chain)))
 
 
 def _steps(trs: Trs, t: Term, strategy: Strategy) -> Iterator[ReductionStep]:
-    """`_rewrites` as ReductionSteps from t."""
-    for pos, i, after in _rewrites(trs, t, strategy):
-        yield ReductionStep(pos, i, t, after)
+    """`_rewrites` as ReductionSteps from t, each chain read as a position."""
+    for chain, i, after in _rewrites(rule_index(trs), t, strategy == "cbv"):
+        pos = []
+        while chain is not None:
+            _, k, chain = chain
+            pos.append(k + 1)
+        yield ReductionStep(tuple(reversed(pos)), i, t, after)
 
 
 def step_full(trs: Trs, t: Term) -> list[ReductionStep]:
@@ -156,20 +168,17 @@ class Oracle:
         """(start, its data results, the number of terms it added) for each
         start, in order; a start is complete unless it is in `cut`."""
         budget, memo, cut = self.budget, self.memo, self.cut
+        rules, cbv = rule_index(self.trs), self.strategy == "cbv"
         interned: dict[frozenset[Term], frozenset[Term]] = {}
-        index: dict[Term, int] = {}  # open terms: their place on `stack`
-        stack: list[Term] = []
-
-        def open_(t: Term) -> _Open:
-            index[t] = len(stack)
-            stack.append(t)
-            return _Open(_rewrites(self.trs, t, self.strategy), index[t])
-
+        index: dict[Term, int] = {}  # the stack: open terms in order, each to its place
         for s in starts:
             added = 0 if s in memo else 1
             if added and s.is_data:
                 memo[s] = frozenset((s,))
-            frames = [] if s in memo else [open_(s)]
+            frames = []
+            if s not in memo:
+                index[s] = len(index)
+                frames.append(_Open(_rewrites(rules, s, cbv), index[s]))
             while frames:
                 top = frames[-1]
                 for _, _, u in top.rewrites:
@@ -188,7 +197,8 @@ class Oracle:
                     else:
                         added += 1
                         if not u.is_data:
-                            frames.append(open_(u))
+                            index[u] = len(index)
+                            frames.append(_Open(_rewrites(rules, u, cbv), index[u]))
                             break
                         top.exits.add(u)
                         memo[u] = frozenset((u,))
@@ -197,12 +207,11 @@ class Oracle:
                     if top.low == top.place:  # top roots a component
                         out = frozenset(top.exits)
                         out = interned.setdefault(out, out)
-                        for u in stack[top.low:]:
-                            del index[u]
+                        while len(index) > top.low:  # pop top's component
+                            u = index.popitem()[0]
                             memo[u] = out
                             if top.cut:
                                 cut[u] = top.cut
-                        del stack[top.low:]
                         if frames:
                             frames[-1].exits |= out
                     else:  # the parent is in top's component: hand it top's exits

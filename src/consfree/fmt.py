@@ -26,17 +26,19 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .terms import App, Kind, Rule, Symbol, Term, Trs, Var, format_term, variables
+from .terms import (
+    CONSTRUCTOR, DEFINED, App, Rule, Symbol, Term, Trs, Var, format_term, variables
+)
 
 IDENT = re.compile(r"[A-Za-z0-9_']+")
 
-START = Symbol("start", 1, Kind.DEFINED)
-CONS = Symbol("cons", 2, Kind.CONSTRUCTOR)
-NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
-TRUE = Symbol("true", 0, Kind.CONSTRUCTOR)
-FALSE = Symbol("false", 0, Kind.CONSTRUCTOR)
-ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
-ONE = Symbol("1", 0, Kind.CONSTRUCTOR)
+START = Symbol("start", 1, DEFINED)
+CONS = Symbol("cons", 2, CONSTRUCTOR)
+NIL = Symbol("nil", 0, CONSTRUCTOR)
+TRUE = Symbol("true", 0, CONSTRUCTOR)
+FALSE = Symbol("false", 0, CONSTRUCTOR)
+ZERO = Symbol("0", 0, CONSTRUCTOR)
+ONE = Symbol("1", 0, CONSTRUCTOR)
 DECISION_INTERFACE = (START, CONS, NIL, TRUE, FALSE, ZERO, ONE)
 
 
@@ -148,7 +150,7 @@ def _build(toks: list[Token], arity: list[int], post, heads, defined) -> list[Te
         name, n = toks[k], arity[k]
         head = heads.get(name)
         if head is None:
-            kind = Kind.DEFINED if name in defined else Kind.CONSTRUCTOR
+            kind = DEFINED if name in defined else CONSTRUCTOR
             head = heads[name] = Symbol(name, n, kind)
         if head.__class__ is Var:
             if n:

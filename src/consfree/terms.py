@@ -57,6 +57,7 @@ class Symbol:
 
 
 _SYMBOLS: dict[tuple[str, int, Kind], Symbol] = {}
+DEFINED, CONSTRUCTOR = Kind.DEFINED, Kind.CONSTRUCTOR  # read as globals: no Enum lookup
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class App:
             raise ValueError(
                 f"{head.name} expects {head.arity} arguments, got {len(args)}"
             )
-        data = head.kind is Kind.CONSTRUCTOR
+        data = head.kind is CONSTRUCTOR
         if data:
             for a in args:
                 if not a.is_data:
@@ -241,7 +242,7 @@ def is_constructor_term(t: Term) -> bool:
     while todo:
         u = todo.pop()
         if isinstance(u, App) and not u.is_data:
-            if u.head.kind is not Kind.CONSTRUCTOR:
+            if u.head.kind is not CONSTRUCTOR:
                 return False
             todo.extend(u.args)
     return True
@@ -354,7 +355,7 @@ class Trs:
             lhs = rule.lhs
             if isinstance(lhs, Var):
                 raise ValueError(f"rule {i} has a variable left-hand side")
-            if lhs.head.kind is not Kind.DEFINED:
+            if lhs.head.kind is not DEFINED:
                 raise ValueError(f"rule {i} rewrites constructor {lhs.head.name}")
             sides: list[set[str]] = []  # variable names of lhs, of rhs
             for side in (lhs, rule.rhs):
@@ -388,10 +389,10 @@ class Trs:
         return self.by_name[name]
 
     def defined(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self.signature if s.kind is Kind.DEFINED)
+        return tuple(s for s in self.signature if s.kind is DEFINED)
 
     def constructors(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self.signature if s.kind is Kind.CONSTRUCTOR)
+        return tuple(s for s in self.signature if s.kind is CONSTRUCTOR)
 
 
 _T = TypeVar("_T")
@@ -439,7 +440,7 @@ def rule_facts(rule: Rule) -> RuleFacts:
             strict.append(u)
             todo += u.args
     violations = [(1, Var(name)) for name in sorted(twice)]
-    if any(s.head.kind is Kind.DEFINED for s in strict):  # not cons-free: find where
+    if any(s.head.kind is DEFINED for s in strict):  # not cons-free: find where
         violations += [(2, a) for a in args if not is_constructor_term(a)]
     uses = {a.name: 0 for a in args if a.__class__ is Var}
     forced, data, lhs_strict = set(), [], None  # lhs_strict: built on first need
@@ -459,7 +460,7 @@ def rule_facts(rule: Rule) -> RuleFacts:
             data += subterms(u)
         else:
             above.append(u.head)
-            if u.head.kind is Kind.CONSTRUCTOR:
+            if u.head.kind is CONSTRUCTOR:
                 lhs_strict = set(strict) if lhs_strict is None else lhs_strict
                 if u not in lhs_strict:
                     violations.append((3, u))

@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 from .fmt import DECISION_INTERFACE, IDENT
-from .terms import App, Kind, Rule, Symbol, Term, Trs, Var
+from .terms import CONSTRUCTOR, DEFINED, App, Kind, Rule, Symbol, Term, Trs, Var
 
 _MOVES = ("L", "R", "S")
 # every key but delta, which may repeat; all are required but clock-degree
@@ -229,12 +229,12 @@ def compile_tm(tm: TmSpec) -> CompiledTrs:
     start, cons, nil, true, false, zero, one = DECISION_INTERFACE
     roles = dict.fromkeys((s.name for s in DECISION_INTERFACE), "driver")
 
-    def sym(name: str, arity: int, role: str, kind: Kind = Kind.DEFINED) -> Symbol:
+    def sym(name: str, arity: int, role: str, kind: Kind = DEFINED) -> Symbol:
         """A generated symbol, its role noted for the manifest."""
         roles[name] = role
         return Symbol(name, arity, kind)
 
-    con = Kind.CONSTRUCTOR
+    con = CONSTRUCTOR
     stc = {q: sym(f"st_{q}", 0, "state lookup", con) for q in sorted(tm.states)}
     syc = {a: sym(f"sy_{a}", 0, "tape lookup", con) for a in sorted(tm.tape_alphabet)}
     mvc = {m: sym(f"mv{m}", 0, "head predicate", con) for m in _MOVES}

@@ -21,8 +21,9 @@ from .analysis import check_constrained, require_cons_free
 from .engine import Oracle
 from .fmt import START, has_decision_interface
 from .terms import (
+    CONSTRUCTOR,
+    DEFINED,
     App,
-    Kind,
     Rule,
     Symbol,
     Term,
@@ -79,7 +80,7 @@ def _widen(counts: Widening, t: Term, copies: dict[str, Iterator[Var]]) -> Term:
         u = todo.pop()
         if isinstance(u, int) or u.is_data:
             order.append(u)
-        elif isinstance(u, App) and u.head.kind is Kind.DEFINED:
+        elif isinstance(u, App) and u.head.kind is DEFINED:
             head, widths = counts[u.head]
             order.append(head)
             for a, k in zip(reversed(u.args), reversed(widths)):
@@ -147,7 +148,7 @@ def semi_linearize(trs: Trs) -> Trs:
 
     extra = [counts[s][0] for s in trs.defined() if s not in trs.by_head]
     if has_decision_interface(trs):
-        wrapper = Symbol(_fresh("start'", names), 1, Kind.DEFINED)
+        wrapper = Symbol(_fresh("start'", names), 1, DEFINED)
         for c in trs.constructors():
             pattern = App(c, _pattern_vars(c.arity, names))
             new_rules.append(
@@ -166,7 +167,7 @@ def bottom_extend(trs: Trs) -> Trs:
     names = {s.name for s in trs.signature}
     if "bot" in names:
         raise ValueError("signature already uses the name bot")
-    bot = Symbol("bot", 0, Kind.CONSTRUCTOR)
+    bot = Symbol("bot", 0, CONSTRUCTOR)
     new_rules = list(trs.rules)
     for sym in trs.defined():
         new_rules.append(Rule(App(sym, _pattern_vars(sym.arity, names)), App(bot)))

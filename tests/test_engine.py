@@ -12,6 +12,7 @@ from consfree.engine import (
     Budget,
     Oracle,
     Trace,
+    _steps,
     accepts,
     data_results,
     leftmost_trace,
@@ -364,6 +365,38 @@ def test_data_results_follows_long_chains_under_default_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "done\n"
+
+
+def test_first_step_of_a_deep_term_builds_linearly_many_nodes(monkeypatch):
+    # a redex at each of 2000 levels: the first step builds O(depth) nodes,
+    # where all the successors would build O(depth**2); so `_rewrites` must
+    # stay lazy, and the count stops an eager one at its bound
+    trs = parse_trs("(VAR x)(RULES g(x) -> h(x) h(x) -> x)")
+    g, h, depth = trs.symbol("g"), trs.symbol("h"), 2000
+    t = App(Symbol("a", 0, Kind.CONSTRUCTOR))
+    for _ in range(depth):
+        t = App(g, (t,))
+    built = []
+    init = App.__init__
+
+    def counted(self, head, args=()):
+        built.append(head)
+        if len(built) > 2 * depth:
+            raise AssertionError(f"more than {2 * depth} nodes built")
+        init(self, head, args)
+
+    monkeypatch.setattr(App, "__init__", counted)
+    step = next(iter(_steps(trs, t, "full")))  # at the root
+    assert (step.position, step.after.head, step.after.args) == ((), h, t.args)
+    assert built == [h]
+    built.clear()
+    step = next(iter(_steps(trs, t, "cbv")))  # at the innermost g
+    assert step.position == (1,) * (depth - 1) and len(built) == depth
+    u = step.after
+    for _ in range(depth - 1):
+        assert u.head is g
+        u = u.args[0]
+    assert u.head is h and u.args[0] is subterm_at(t, step.position).args[0]
 
 
 def test_accepts():

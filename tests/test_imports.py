@@ -3,7 +3,9 @@ and every private module-level name, nested function, private method and
 private `self._x` attribute it defines is read in that module.  No function
 calls itself, outside `fmt.py` no module names a decision-interface symbol by
 a string literal, and outside `terms.py` no module compiles a rule by
-calling `head_tests` or reads a `.memo` other than its own `self.memo`.
+calling `head_tests` or reads a `.memo` other than its own `self.memo`.  No
+function reads `Kind.DEFINED` or `Kind.CONSTRUCTOR`: it reads the `terms`
+constants.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -294,3 +296,51 @@ def test_memo_read_checker_flags_reads_off_other_objects():
 )
 def test_system_memo_read_only_in_terms(path):
     assert memo_reads(path.read_text(encoding="utf-8")) == []
+
+
+KINDS = ("DEFINED", "CONSTRUCTOR")
+
+
+def kind_member_reads(source: str) -> list[str]:
+    """`Kind.DEFINED` and `Kind.CONSTRUCTOR` read inside a function or a
+    lambda, or inside a nested function's defaults: an Enum member lookup
+    costs about four global reads, so functions compare a symbol's kind
+    against the `terms.DEFINED` and `terms.CONSTRUCTOR` constants.
+    Module-level definitions may read the members."""
+    found = set()
+    for f in ast.walk(ast.parse(source)):
+        if isinstance(f, (*FUNCS, ast.Lambda)):
+            body = f.body if isinstance(f.body, list) else [f.body]
+            for n in (n for stmt in body for n in ast.walk(stmt)):
+                owner = getattr(n, "value", None)  # `Kind` or `terms.Kind`
+                if (isinstance(n, ast.Attribute) and n.attr in KINDS and "Kind" in (
+                        getattr(owner, "id", None), getattr(owner, "attr", None))):
+                    found.add((n.lineno, n.col_offset, n.attr))
+    return [f"Kind.{attr} (line {line})" for line, _, attr in sorted(found)]
+
+
+def test_kind_member_read_checker_flags_reads_in_functions():
+    src = (
+        'START = Symbol("start", 1, Kind.DEFINED)\n'
+        "def f(t, kind=Kind.CONSTRUCTOR):\n"
+        "    return t.head.kind is Kind.DEFINED\n"
+        "def g(name):\n"
+        "    def sym(kind: Kind = Kind.DEFINED):\n"
+        "        return kind is terms.Kind.CONSTRUCTOR or kind is DEFINED\n"
+        "    return (lambda s: s.kind is Kind.CONSTRUCTOR)(name)\n"
+        "check = lambda s: s.kind is Kind.DEFINED\n"
+        "class A:\n"
+        "    KIND = Kind.CONSTRUCTOR\n"
+        "    def m(self):\n"
+        "        return Kind.DEFINED.value, Other.DEFINED\n"
+    )
+    assert kind_member_reads(src) == [
+        "Kind.DEFINED (line 3)", "Kind.DEFINED (line 5)",
+        "Kind.CONSTRUCTOR (line 6)", "Kind.CONSTRUCTOR (line 7)",
+        "Kind.DEFINED (line 8)", "Kind.DEFINED (line 12)",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_kind_member_reads_in_functions(path):
+    assert kind_member_reads(path.read_text(encoding="utf-8")) == []
