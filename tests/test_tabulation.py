@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import sys
@@ -18,7 +19,7 @@ from consfree.tm import compile_tm
 
 import pytest
 
-from conftest import load_machine, load_system
+from conftest import CORPUS_NAMES, load_machine, load_system
 
 
 def test_loop42_table_by_hand():
@@ -348,6 +349,16 @@ CYCLIC = {
     # q(a)'s component reaches the open p(a) only in its second pass
     "reaches_outer": "(VAR x)(RULES p(x) -> q(x) q(a) -> b q(x) -> m(q(x)) "
     "m(b) -> c m(c) -> p(a))",
+    # r(a) -> r(b) -> r(c) -> r(d) -> r(a): one cycle of four keys
+    "ring4": "(VAR x)(RULES r(x) -> x r(a) -> r(b) r(b) -> r(c) r(c) -> r(d) "
+    "r(d) -> r(a))",
+    # f and g read each other on every argument, and f(x) also through h;
+    # h(h(f(a), a), b) takes 3 generations
+    "mutual": "(VAR x y)(RULES f(x) -> g(x) g(x) -> f(x) f(a) -> b g(b) -> c "
+    "f(x) -> h(x, x) h(x, y) -> g(y))",
+    # p(x, y) and q(y, x) read each other with their arguments swapped
+    "pair_swap": "(VAR x y)(RULES p(x, y) -> q(y, x) q(x, y) -> p(x, y) "
+    "p(a, b) -> a q(b, a) -> b p(x, y) -> x)",
 }
 
 
@@ -377,6 +388,42 @@ def test_demand_counts_frozen_on_a_cyclic_read_graph():
     trs = parse_trs(CYCLIC["growing"])
     stats = run_tabulation(trs, parse_term("r(a)", trs), "demand").stats
     assert (stats.generations, stats.basic_ops) == (2, 83)
+
+
+# sha256 of every record of `test_demand_outcomes_are_pinned`; it changes only
+# if a demand run counts, fills, reads or answers something differently
+DEMAND_DIGEST = "6a1c3f0acb993ec52780296fb7f18d5fb7209c9ce9ded85cf01c6bfdbafcd876"
+
+
+def test_demand_outcomes_are_pinned(corpus):
+    # every defined-rooted B-safe start up to 5 nodes of each cyclic system
+    # and each corpus system, and the compiled machines on every input up
+    # to length 4.  A record is the system, generations, basic_ops, the
+    # cone's size, the start with its sorted values, and the table.
+    def record(name, start, table):
+        stats = table.stats
+        values = " ".join(sorted(map(format_term, nf(table, start))))
+        return (f"{name} {stats.generations} {stats.basic_ops} {len(table.cone)} "
+                f"{format_term(start)} => {values}\n{table.dump()}")
+
+    systems = [(name, parse_trs(CYCLIC[name])) for name in sorted(CYCLIC)]
+    systems += [(name, corpus[name]) for name in CORPUS_NAMES]
+    records = [
+        record(name, start, run_tabulation(trs, start, "demand"))
+        for name, trs in systems
+        for start in b_safe_terms(trs, 5)
+        if start.head.kind is Kind.DEFINED
+    ]
+    for name in ("contains11", "parity", "square"):
+        trs = compile_tm(load_machine(name)).trs
+        for n in range(5):
+            for bits in map("".join, itertools.product("01", repeat=n)):
+                start = encode_input(bits)
+                records.append(record(name, start, run_tabulation(trs, start, "demand")))
+    assert len(records) == 15_815
+    assert sum(r.split()[1] != "1" for r in records) == 1_177
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == DEMAND_DIGEST
 
 
 def test_demand_matches_each_key_once(monkeypatch):
