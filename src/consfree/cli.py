@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="dense",
         help="dense sweeps every key; demand only the keys the input reads",
     )
-    p.add_argument("--max-terms", type=int, default=10_000)
-    p.add_argument("--max-term-size", type=int, default=1_000)
+    p.add_argument("--max-terms", type=int, default=Budget.max_terms)
+    p.add_argument("--max-term-size", type=int, default=Budget.max_term_size)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("run", help="print a leftmost reduction of a term")

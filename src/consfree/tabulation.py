@@ -31,17 +31,15 @@ Two modes, on one evaluator, `_evaluate`, which yields each key it reads:
   generators, not Python recursion); a read of a key still being evaluated
   closes a cycle of the read graph and sees its current value.  A round that
   met no cycle, or changed nothing, ends the run; otherwise another round
-  evaluates the cone again.  A key's matching rules are found once per run,
-  and the keys the first round finished before it met a cycle are final, so
-  a repeat round only adds what evaluating them again would count.  On an
-  acyclic cone, which the bundled machines have, this is one round and each
-  key is evaluated once.  On a cyclic one it is chaotic iteration from the
-  empty table: values only grow, so it ends at the least fixpoint on the
-  cone, which agrees with the dense fixpoint on every demanded key.  Demand
-  `generations` is 1 plus the number of repeat rounds that set a new fact,
-  so it is 1 on an acyclic cone, and `basic_ops` counts one fixpoint
-  comparison per repeat round.  This is what makes compiled Turing
-  machines, whose symbols have higher arities, affordable to run.
+  evaluates the cone again.  On an acyclic cone, which the bundled machines
+  have, this is one round and each key is evaluated once.  On a cyclic one
+  it is chaotic iteration from the empty table: values only grow, so it
+  ends at the least fixpoint on the cone, which agrees with the dense
+  fixpoint on every demanded key.  Demand `generations` is 1 plus the number
+  of repeat rounds that set a new fact, so it is 1 on an acyclic cone, and
+  `basic_ops` counts one fixpoint comparison per repeat round.  This is what
+  makes compiled Turing machines, whose symbols have higher arities,
+  affordable to run.
 
 Table values are bitmasks over B indices, keys are a defined symbol and its
 arguments' B indices, and a fill builds and hashes no term: cons-freeness
@@ -331,31 +329,19 @@ class ConfirmedTable:
         run stops; otherwise another round starts.  On an acyclic cone this
         is one round, each key evaluated once, after the keys it reads.
 
-        The keys the first round finished before it met a cycle read no
-        open key, so their values are final: a repeat round starts with
-        them done and adds what evaluating them again would count.  It
-        reuses the other keys' matched rules and counts their attempts
-        again, so each key is matched once per run, keeping nothing on an
-        acyclic cone, and `basic_ops` stays that of evaluating every key of
-        the cone in every round.
-
         Returns the generations: 1, plus each repeat round that set a new
         fact, and keeps the last round's keys as `cone`.
         """
         ground = [self._ground(root)]
-        matched: dict[Key, tuple[list[Body], int]] = {}  # bodies, match attempts
-        final: set[Key] = set()  # done in round 1 before it met a cycle
-        final_ops = 0  # what evaluating the final keys again would count
+        get = self.entries.get
         generations = 1
         repeat = False
         while True:
-            done, open_keys = set(final), set()
+            done, open_keys = set(), set()
             cyclic = changed = False
-            self.ops += final_ops
-            start = self.ops
-            stack = [(None, self._evaluate(ground, 0, done), [], 0)]
+            stack = [(None, self._evaluate(ground, 0, done))]
             while stack:
-                key, gen, bodies, attempts = stack[-1]
+                key, gen = stack[-1]
                 try:
                     read = next(gen)
                 except StopIteration as stop:
@@ -364,30 +350,13 @@ class ConfirmedTable:
                         changed |= self._set(key, stop.value)
                         open_keys.remove(key)
                         done.add(key)
-                        if cyclic or repeat:
-                            matched[key] = bodies, attempts
                     continue
                 if read in open_keys:
-                    if not (cyclic or repeat):  # the keys done so far are final
-                        final = set(done)
-                        # the round's count less the open keys' attempts and
-                        # the final keys' insertions, which a repeat lacks
-                        get = self.entries.get
-                        inserted = sum(get(k, 0).bit_count() for k in final)
-                        final_ops = self.ops - start - inserted
-                        final_ops -= sum(frame[3] for frame in stack)
                     cyclic = True
                     continue
                 open_keys.add(read)
-                if repeat and read in matched:
-                    bodies, attempts = matched[read]
-                    self.ops += attempts
-                else:
-                    ops = self.ops
-                    bodies = self._matches(read)
-                    attempts = self.ops - ops
-                gen = self._evaluate(bodies, self.entries.get(read, 0), done)
-                stack.append((read, gen, bodies, attempts))
+                gen = self._evaluate(self._matches(read), get(read, 0), done)
+                stack.append((read, gen))
             generations += repeat and changed
             if not cyclic or not changed:
                 self.cone = done

@@ -426,13 +426,14 @@ def test_demand_outcomes_are_pinned(corpus):
     assert digest == DEMAND_DIGEST
 
 
-def test_demand_matches_each_key_once(monkeypatch):
-    # a key's matched rules depend only on the key and B, so a run matches
-    # each key once: 3 rounds over the 6 keys of r(a)'s cone make 6 calls,
-    # and basic_ops still counts the attempts of every round (83 above)
+def test_demand_rounds_share_nothing(monkeypatch):
+    # a round keeps only the table from the round before: each of the 3
+    # rounds from r(a) matches every one of the 6 keys of its cone again
     trs = parse_trs(CYCLIC["growing"])
     table, matched = matched_run(monkeypatch, trs, parse_term("r(a)", trs))
-    assert len(matched) == len(set(matched)) == len(table.cone) == 6
+    assert len(table.cone) == 6 and set(matched) == table.cone
+    assert len(matched) == 18
+    assert all(matched.count(key) == 3 for key in table.cone)
     assert (table.stats.generations, table.stats.basic_ops) == (2, 83)
 
 
