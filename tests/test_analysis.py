@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from consfree import analysis, terms
@@ -15,12 +18,14 @@ from consfree.analysis import (
     require_cons_free,
     verify_constrained_witness,
 )
-from consfree.fmt import encode_input, parse_term, parse_trs
+from consfree.fmt import ParseError, encode_input, parse_term, parse_trs
 from consfree.tabulation import decide
 from consfree.terms import App, format_term, is_data, rhs_data, size
-from consfree.transforms import compute_counts
+from consfree.tm import compile_tm
+from consfree.transforms import bottom_extend, compute_counts, semi_linearize
 
-from conftest import CORPUS, CORPUS_NAMES, load_system
+from conftest import CORPUS, CORPUS_NAMES, MACHINES, load_machine, load_system
+from test_fuzz import MUTANTS, SEED, mutate
 
 # frozen witness sets for the bundled systems
 WITNESSES = {
@@ -275,3 +280,54 @@ def test_b_safe_terms_pure_data_included():
     trs = load_system("membership")
     small = list(b_safe_terms(trs, 1))
     assert [format_term(t) for t in small] == ["0", "1", "false", "nil", "true"]
+
+
+def pinned_systems() -> list[tuple[str, object]]:
+    """The 12 corpus systems, the semi-linearization and the bottom extension
+    of each constrained one, the 3 compiled machines, and the seeded fuzz
+    mutants of each corpus file that parse."""
+    systems = []
+    for source in sorted(CORPUS.glob("*.trs")):
+        text = source.read_text(encoding="utf-8")
+        trs = parse_trs(text)
+        systems.append((source.name, trs))
+        try:
+            check_constrained(trs)
+        except (NotConsFreeError, NotConstrainedError):
+            continue
+        systems.append((f"{source.name} semilin", semi_linearize(trs)))
+        systems.append((f"{source.name} bottom", bottom_extend(trs)))
+    for machine in sorted(MACHINES.glob("*.tm")):
+        systems.append((machine.name, compile_tm(load_machine(machine.stem)).trs))
+    for source in sorted(CORPUS.glob("*.trs")):
+        rng = random.Random(f"{SEED}:{source.name}")
+        text = source.read_text(encoding="utf-8")
+        for k in range(MUTANTS):
+            try:
+                systems.append((f"{source.name} mutant {k}", parse_trs(mutate(rng, text))))
+            except (ParseError, ValueError):
+                pass
+    return systems
+
+
+STATIC_FACTS_DIGEST = "1975f087f4fdc9b7f628e0e607891aa8c2fa104716db376a345790327244c93f"
+
+
+def test_static_facts_are_pinned():
+    # each system's violations, witness or constrainedness error, widths and
+    # universe order, read through the public checks only
+    records = []
+    for name, trs in pinned_systems():
+        violations = check_cons_free(trs)
+        records.append(name)
+        records += [v.describe(trs) for v in violations]
+        if not violations:
+            try:
+                records.append(repr(sorted(s.name for s in check_constrained(trs).a_set)))
+            except NotConstrainedError as exc:
+                records.append(str(exc))
+        counts = compute_counts(trs)
+        records.append(repr(sorted((s.name, w) for s, (_, w) in counts.items())))
+        records.append(repr([format_term(t) for t in compute_b(trs, encode_input(""))]))
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == STATIC_FACTS_DIGEST
