@@ -1,6 +1,8 @@
 """Static analyses: cons-freeness, semi-linearity, constrainedness, and the
 bounded data universe used by the tabulation engine.  The checks and the
-data pool read one record per system, `terms.static_facts`: one walk per rule.
+data pool read one record per system, `Trs.facts`: one walk per rule side,
+made on the first read.  `check_semi_linear` and `verify_constrained_witness`
+read the rules themselves.
 
 A rule is cons-free when (1) its left-hand side is linear, (2) the lhs is a
 defined symbol applied to constructor terms, and (3) every constructor-rooted
@@ -14,6 +16,7 @@ is what makes the tabulation procedure polynomial.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,10 +31,6 @@ from .terms import (
     Var,
     format_term,
     is_data,
-    per_system,
-    rhs_data,
-    rule_facts,
-    static_facts,
     subterms,
     variables,
 )
@@ -63,14 +62,8 @@ class Violation:
 
 def check_cons_free(trs: Trs) -> list[Violation]:
     """All cons-freeness violations, in rule order; empty means cons-free.
-    Computed once per system; every call returns a fresh list."""
-    return list(_violations(trs))
-
-
-@per_system
-def _violations(trs: Trs) -> tuple[Violation, ...]:
-    facts = static_facts(trs)
-    return tuple(Violation(i, *v) for i, f in enumerate(facts) for v in f.violations)
+    Found once per system; every call returns a fresh list."""
+    return [Violation(*v) for v in trs.facts.violations]
 
 
 def require_cons_free(trs: Trs) -> None:
@@ -86,7 +79,8 @@ def dv(lhs: App) -> set[str]:
 
 def check_semi_linear(rule: Rule) -> bool:
     """Each direct lhs variable occurs at most once in the rhs."""
-    return rule_facts(rule).semi_linear
+    uses = Counter(t.name for t in subterms(rule.rhs) if isinstance(t, Var))
+    return all(uses[x] <= 1 for x in dv(rule.lhs))
 
 
 @dataclass(frozen=True)
@@ -106,12 +100,13 @@ def check_constrained(trs: Trs) -> ConstrainedWitness:
     first rule that is forced into A but is not semi-linear.
     """
     require_cons_free(trs)
-    forced = frozenset().union(*(f.forced for f in static_facts(trs)))
+    forced = trs.facts.forced
     for sym in forced:
         # cons-freeness already excludes constructors above lhs variables
         assert sym.kind is DEFINED, f"constructor {sym.name} forced into A"
-    for i, (rule, f) in enumerate(zip(trs.rules, static_facts(trs))):
-        if rule.lhs.head in forced and not f.semi_linear:
+    for i in trs.facts.duplicating:
+        rule = trs.rules[i]
+        if rule.lhs.head in forced:
             raise NotConstrainedError(
                 f"rule {i} ({rule}) is headed by {rule.lhs.head.name}, which the "
                 "right-hand sides force into the witness set, but the rule is "
@@ -141,7 +136,7 @@ def compute_b(trs: Trs, start: Term) -> dict[Term, int]:
     the start term's data, then the system's right-hand-side data pool less
     what the start term holds."""
     b = dict.fromkeys(s for s in subterms(start) if s.is_data)
-    b.update(dict.fromkeys(rhs_data(trs)))  # a key already in keeps its place
+    b.update(dict.fromkeys(trs.facts.data))  # a key already in keeps its place
     return {t: i for i, t in enumerate(b)}
 
 

@@ -35,7 +35,7 @@ from .fmt import (
     require_decision_interface,
 )
 from .tabulation import decide
-from .terms import App, Trs, format_term, static_facts
+from .terms import App, Trs, format_term
 from .tm import TmParseError, compile_tm, parse_tm, simulate_tm
 from .transforms import (
     bottom_extend,
@@ -72,7 +72,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     trs = _load_trs(args.path)
     violations = check_cons_free(trs)
     cons_free = not violations
-    bad_rules = [i for i, f in enumerate(static_facts(trs)) if not f.semi_linear]
+    bad_rules = list(trs.facts.duplicating)
     witness = constrained_msg = None
     if cons_free:
         try:

@@ -8,10 +8,10 @@ result saying honestly whether the search completed; `data_results` is many
 unbudgeted starts.
 
 A step never calls `match` or `apply`.  It runs the rule plans that
-`terms.rule_index` compiles once per system, the same plans the table runs:
+`Trs.index` compiles once per system, the same plans the table runs:
 head tests, equality tests for a repeated lhs variable, and a post-order
 builder of the rhs over the matched subterms and shared data constants.  The
-rules tried at a redex are those that `rule_index` fits to its argument
+rules tried at a redex are those that the index fits to its argument
 heads.  Successors are made lazily, one at a time: each subterm of the walk
 carries its parent chain, a successor is rebuilt bottom-up along it, and a
 position is made only for a `ReductionStep`.  Kinds are compared against the
@@ -37,7 +37,6 @@ from .terms import (
     apply,
     match,
     replace_at,
-    rule_index,
     size,
     subterm_at,
 )
@@ -83,7 +82,7 @@ def _rewrites(
 ) -> Iterator[tuple[tuple | None, int, Term]]:
     """One-step successors as (chain, rule index, result), lazily and in
     deterministic order: positions pre-order (leftmost-outermost first),
-    rules in file order at each position; `rules` is the `rule_index`, and
+    rules in file order at each position; `rules` is the system's `index`, and
     `cbv` skips redexes with a non-data argument.  One walk with an explicit
     stack; data subtrees hold no redex and are skipped.  A subterm's chain is
     None at the root, else (parent, child index from 0, parent's chain).  A
@@ -127,7 +126,7 @@ def _rewrites(
 
 def _steps(trs: Trs, t: Term, strategy: Strategy) -> Iterator[ReductionStep]:
     """`_rewrites` as ReductionSteps from t, each chain read as a position."""
-    for chain, i, after in _rewrites(rule_index(trs), t, strategy == "cbv"):
+    for chain, i, after in _rewrites(trs.index, t, strategy == "cbv"):
         pos = []
         while chain is not None:
             _, k, chain = chain
@@ -168,7 +167,7 @@ class Oracle:
         """(start, its data results, the number of terms it added) for each
         start, in order; a start is complete unless it is in `cut`."""
         budget, memo, cut = self.budget, self.memo, self.cut
-        rules, cbv = rule_index(self.trs), self.strategy == "cbv"
+        rules, cbv = self.trs.index, self.strategy == "cbv"
         interned: dict[frozenset[Term], frozenset[Term]] = {}
         index: dict[Term, int] = {}  # the stack: open terms in order, each to its place
         for s in starts:
@@ -277,9 +276,9 @@ class Trace:
 
     def terms(self, trs: Trs) -> list[Term]:
         out = [self.start]
-        for pos, rule_index in self.steps:
+        for pos, i in self.steps:
             t = out[-1]
-            rule = trs.rules[rule_index]
+            rule = trs.rules[i]
             subst = match(rule.lhs, subterm_at(t, pos))
             if subst is None:
                 raise ValueError("trace does not replay against this system")
@@ -292,9 +291,9 @@ class Trace:
         `self.terms(trs)`, so a caller that also needs the terms replays
         once."""
         lines = []
-        for (pos, rule_index), after in zip(self.steps, terms[1:]):
+        for (pos, i), after in zip(self.steps, terms[1:]):
             spot = ".".join(map(str, pos)) if pos else "e"
-            lines.append(f"{spot} {rule_index} {after}")
+            lines.append(f"{spot} {i} {after}")
         return "\n".join(lines)
 
 

@@ -45,7 +45,7 @@ Table values are bitmasks over B indices, keys are a defined symbol and its
 arguments' B indices, and a fill builds and hashes no term: cons-freeness
 makes every constructor-rooted rhs subterm ground data or a piece of the lhs
 (data values are pointers into the input, as in Jones).  A rule runs as its
-plan, kept by `terms.rule_index`, the one the oracle runs too: head tests
+plan, kept by `Trs.index`, the one the oracle runs too: head tests
 along child-index paths for the lhs, and for the rhs the `compile_rhs`
 slots that hold the registers, then the rule's ground constants, then its
 nodes, each a defined symbol evaluated pointwise over the table.  While every
@@ -53,7 +53,7 @@ value of a body so far is one item, as on the deterministic compiled
 machines, a node is one key, taken from the slots by the node's picker, and
 one lookup; the first value that is empty or has several items sends the
 rest of the body to the product of the slots' values.  Both count alike.  A key
-tries the rules that `rule_index` fits to its arguments' heads.  A table
+tries the rules that the index fits to its arguments' heads.  A table
 builds its run's B; a B item is a head symbol and its children's indices,
 and each constant is its B index.  The start term and `nf`'s term go through
 `compile_rhs` once, with no registers, so their data subterms fill the first
@@ -80,8 +80,6 @@ from .terms import (
     Trs,
     compile_rhs,
     format_term,
-    rhs_data,
-    rule_index,
     size,
 )
 
@@ -152,7 +150,7 @@ class ConfirmedTable:
                 f"start term {format_term(start)} is not safe for its data universe"
             )
         self.items = tuple(b)
-        self.index = rule_index(trs)
+        self.index = trs.index
         self.trs = trs
         self.ops = 0
         self.entries: dict[Key, int] = {}
@@ -161,7 +159,7 @@ class ConfirmedTable:
         self.heads = [t.head for t in self.items]
         self.kids = [tuple(b[a] for a in t.args) for t in self.items]
         self.ones = [(i,) for i in range(len(b))]  # an item as a value tuple
-        self.consts = [b[t] for t in rhs_data(trs)]
+        self.consts = [b[t] for t in trs.facts.data]
         self._bit_tuples = _BitTuples()
 
     def _call(self, key: Key) -> str:

@@ -15,7 +15,7 @@ import functools
 import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 
 class Kind(Enum):
@@ -329,12 +329,10 @@ class Trs:
     taken as given.  Raises ValueError when one name stands for two symbols.
 
     `by_head` maps each head symbol to its `(index, rule)` pairs in file order,
-    and `by_name` each symbol's name to the symbol.
-    `memo` holds, for each function decorated with `per_system`, its result
-    on this system: facts computed once because they do not depend on the
-    input (the static facts, the right-hand-side data pool, ...).  All
-    three live and die with this object and take no part in equality, so two
-    equal systems never share a memo.
+    and `by_name` each symbol's name to the symbol.  `facts` and `index` hold
+    what does not depend on the input, and each is computed on its first
+    read.  All four live and die with this object and take no part in
+    equality, so two equal systems never share them.
     """
 
     rules: tuple[Rule, ...]
@@ -346,7 +344,6 @@ class Trs:
     by_name: dict[str, Symbol] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
-    memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self, extra: tuple[Symbol, ...]) -> None:
         by_name = self.by_name
@@ -394,101 +391,110 @@ class Trs:
     def constructors(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.signature if s.kind is CONSTRUCTOR)
 
+    @functools.cached_property
+    def facts(self) -> StaticFacts:
+        """The system's static facts, by one iterative walk of each rule's
+        lhs and one of its rhs.  The violations of a rule are each repeated
+        lhs variable by name, each lhs argument that holds a defined symbol,
+        and each constructor-rooted rhs subterm, in pre-order, that is
+        neither data nor a strict lhs subterm."""
+        violations: list[tuple[int, int, Term]] = []
+        duplicating, forced, pool = [], set(), []
+        widths = {s: [1] * s.arity for s in self.defined()}
+        for i, rule in enumerate(self.rules):
+            args = rule.lhs.args
+            seen, twice = set(), set()  # lhs variable names met, met again
+            strict = []  # lhs subterms below the root that are neither variables nor data
+            todo = list(args)
+            while todo:
+                u = todo.pop()
+                if u.__class__ is Var:
+                    (twice if u.name in seen else seen).add(u.name)
+                elif not u.is_data:
+                    strict.append(u)
+                    todo += u.args
+            violations += [(i, 1, Var(name)) for name in sorted(twice)]
+            if any(s.head.kind is DEFINED for s in strict):  # not cons-free: find where
+                violations += [(i, 2, a) for a in args if not is_constructor_term(a)]
+            uses = {a.name: 0 for a in args if a.__class__ is Var}  # direct variables
+            lhs_strict = None  # built on first need
+            above, done = [], 0  # heads above the current node; above[:done] forced
+            walk = [rule.rhs]  # pre-order; None closes the innermost open node
+            while walk:
+                u = walk.pop()
+                if u is None:
+                    above.pop()
+                    done = min(done, len(above))
+                elif u.__class__ is Var:
+                    if u.name in uses:
+                        uses[u.name] += 1
+                        forced.update(above[done:])
+                        done = len(above)
+                elif u.is_data:
+                    pool += subterms(u)
+                else:
+                    above.append(u.head)
+                    if u.head.kind is CONSTRUCTOR:
+                        lhs_strict = set(strict) if lhs_strict is None else lhs_strict
+                        if u not in lhs_strict:
+                            violations.append((i, 3, u))
+                    walk.append(None)
+                    walk += reversed(u.args)
+            if any(n > 1 for n in uses.values()):
+                duplicating.append(i)
+            w = widths[rule.lhs.head]
+            for k, a in enumerate(args):
+                if a.__class__ is Var:
+                    w[k] = max(w[k], uses[a.name])
+        return StaticFacts(
+            tuple(violations),
+            tuple(duplicating),
+            frozenset(forced),
+            {s: tuple(w) for s, w in widths.items()},
+            tuple(dict.fromkeys(pool)),
+        )
 
-_T = TypeVar("_T")
+    @functools.cached_property
+    def index(self) -> _RuleIndex:
+        """The system's argument-head index (after Graf's substitution
+        trees).  A key is a head symbol and the head symbols of its
+        arguments' roots (None for a variable); its value holds the index and
+        plan, in file order, of each of the head's rules whose lhs argument
+        roots fit: a pattern variable fits anything, a pattern term only that
+        head.  Compiled systems carry hundreds of rules, most ruled out here
+        by one lookup.
+
+        A rule is compiled when a key first fits it, into the one plan that
+        both the oracle and the table run, kept in the index's `plans` by
+        rule index.  A plan is (tests, eqs, consts, pool slots, nodes, top):
+        `tests` are the lhs's `head_tests`, and `eqs` pairs the registers
+        that hold one repeated lhs variable, which must hold equal terms.
+        The rest is `compile_rhs` of the rhs over the registers, where an rhs
+        subterm equal to an lhs argument subterm is that subterm's first
+        register; `pool slots` gives each const's place in `facts.data`.  So
+        on a cons-free system every node is headed by a defined symbol."""
+        return _RuleIndex(self)
 
 
-def per_system(compute: Callable[[Trs], _T]) -> Callable[[Trs], _T]:
-    """`compute(trs)`, run once per `Trs` object: the result is kept in that
-    object's `memo`, keyed by `compute`.  Equal systems built separately
-    share nothing."""
+class StaticFacts(NamedTuple):
+    """A system's facts that do not depend on the input: see `Trs.facts`."""
 
-    def cached(trs: Trs) -> _T:
-        try:
-            return trs.memo[compute]
-        except KeyError:
-            value = trs.memo[compute] = compute(trs)
-            return value
-
-    return functools.wraps(compute)(cached)
-
-
-class RuleFacts(NamedTuple):
-    """One rule's static facts from `rule_facts`, in tuples: each system keeps them."""
-
-    violations: tuple[tuple[int, Term], ...]  # (condition 1, 2 or 3, subterm)
-    uses: dict[str, int]  # rhs occurrences of each direct (bare argument) lhs variable
-    forced: tuple[Symbol, ...]  # heads of the rhs subterms above a direct variable
-    data: tuple[Term, ...]  # rhs data subterms in pre-order, repeats included
-    semi_linear = property(lambda self: all(n <= 1 for n in self.uses.values()))
-
-
-def rule_facts(rule: Rule) -> RuleFacts:
-    """One iterative walk of the lhs and one of the rhs.  The violations are
-    each repeated lhs variable by name, each lhs argument that holds a
-    defined symbol, and each constructor-rooted rhs subterm, in pre-order,
-    that is neither data nor a strict lhs subterm."""
-    args = rule.lhs.args
-    seen, twice = set(), set()  # lhs variable names met, met again
-    strict = []  # lhs subterms below the root that are neither variables nor data
-    todo = list(args)
-    while todo:
-        u = todo.pop()
-        if u.__class__ is Var:
-            (twice if u.name in seen else seen).add(u.name)
-        elif not u.is_data:
-            strict.append(u)
-            todo += u.args
-    violations = [(1, Var(name)) for name in sorted(twice)]
-    if any(s.head.kind is DEFINED for s in strict):  # not cons-free: find where
-        violations += [(2, a) for a in args if not is_constructor_term(a)]
-    uses = {a.name: 0 for a in args if a.__class__ is Var}
-    forced, data, lhs_strict = set(), [], None  # lhs_strict: built on first need
-    above, done = [], 0  # the current node's ancestors' heads; above[:done] forced
-    walk = [rule.rhs]  # pre-order; None closes the innermost open node
-    while walk:
-        u = walk.pop()
-        if u is None:
-            above.pop()
-            done = min(done, len(above))
-        elif u.__class__ is Var:
-            if u.name in uses:
-                uses[u.name] += 1
-                forced.update(above[done:])
-                done = len(above)
-        elif u.is_data:
-            data += subterms(u)
-        else:
-            above.append(u.head)
-            if u.head.kind is CONSTRUCTOR:
-                lhs_strict = set(strict) if lhs_strict is None else lhs_strict
-                if u not in lhs_strict:
-                    violations.append((3, u))
-            walk.append(None)
-            walk += reversed(u.args)
-    return RuleFacts(tuple(violations), uses, tuple(forced), tuple(data))
-
-
-@per_system
-def static_facts(trs: Trs) -> tuple[RuleFacts, ...]:
-    """Each rule's `rule_facts`, in rule order: one walk per rule and system."""
-    return tuple(map(rule_facts, trs.rules))
-
-
-@per_system
-def rhs_data(trs: Trs) -> tuple[Term, ...]:
-    """Data subterms of the right-hand sides in file order, each once."""
-    return tuple(dict.fromkeys(t for facts in static_facts(trs) for t in facts.data))
+    violations: tuple[tuple[int, int, Term], ...]  # (rule, condition 1, 2 or 3, subterm)
+    duplicating: tuple[int, ...]  # rules that use a direct (bare argument) variable twice
+    forced: frozenset[Symbol]  # heads of the rhs subterms above a direct variable
+    # per defined symbol, each argument's most rhs uses as a direct variable, at least 1
+    widths: dict[Symbol, tuple[int, ...]]
+    data: tuple[Term, ...]  # rhs data subterms in file order, each once
 
 
 class _RuleIndex(dict):
-    """See `rule_index`: an entry is computed on its first lookup, and a
+    """See `Trs.index`: an entry is computed on its first lookup, and a
     rule is compiled into `plans` when an entry first holds it."""
 
     def __init__(self, trs: Trs):
         super().__init__()
         self.by_head = trs.by_head
-        self.pool_slot = {t: k for k, t in enumerate(rhs_data(trs))}
+        self.pool_slot = {t: k for k, t in enumerate(trs.facts.data)}
         self.plans: dict[int, tuple] = {}
 
     def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[tuple[int, tuple], ...]:
@@ -513,28 +519,6 @@ class _RuleIndex(dict):
         pool = tuple([self.pool_slot[u] for u in consts])
         plan = self.plans[i] = (tests, tuple(eqs), consts, pool, nodes, top)
         return plan
-
-
-@per_system
-def rule_index(trs: Trs) -> dict[tuple[Symbol, tuple], tuple[tuple[int, tuple], ...]]:
-    """The system's argument-head index (after Graf's substitution trees),
-    one per system.  A key is a head symbol and the head symbols of its
-    arguments' roots (None for a variable); its value holds the index and
-    plan, in file order, of each of the head's rules whose lhs argument
-    roots fit: a pattern variable fits anything, a pattern term only that
-    head.  Compiled systems carry hundreds of rules, most ruled out here by
-    one lookup.
-
-    A rule is compiled when a key first fits it, into the one plan that both
-    the oracle and the table run, kept in the index's `plans` by rule index.
-    A plan is (tests, eqs, consts, pool slots, nodes, top): `tests` are the
-    lhs's `head_tests`, and `eqs` pairs the registers that hold one repeated
-    lhs variable, which must hold equal terms.  The rest is `compile_rhs` of
-    the rhs over the registers, where an rhs subterm equal to an lhs
-    argument subterm is that subterm's first register; `pool slots` gives
-    each const's place in `rhs_data`.  So on a cons-free system every node
-    is headed by a defined symbol."""
-    return _RuleIndex(trs)
 
 
 def head_tests(lhs: App) -> tuple[tuple[tuple[int, Symbol], ...], list[Term]]:

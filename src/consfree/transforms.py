@@ -32,7 +32,6 @@ from .terms import (
     build,
     format_term,
     is_constructor_term,
-    static_facts,
     variables,
 )
 
@@ -42,15 +41,11 @@ Widening = dict[Symbol, tuple[Symbol, tuple[int, ...]]]
 
 def compute_counts(trs: Trs) -> Widening:
     """Each defined symbol's widened symbol and the copies of each of its
-    arguments, in one pass over the rules: the most right-hand-side uses of
-    an argument by one rule where it is a bare variable, and at least 1."""
-    widths = {s: [1] * s.arity for s in trs.defined()}
-    for rule, facts in zip(trs.rules, static_facts(trs)):
-        w = widths[rule.lhs.head]
-        for i, arg in enumerate(rule.lhs.args):
-            if isinstance(arg, Var):
-                w[i] = max(w[i], facts.uses[arg.name])
-    return {s: (Symbol(s.name, sum(w), s.kind), tuple(w)) for s, w in widths.items()}
+    arguments, from the system's `facts.widths`: the most right-hand-side
+    uses of an argument by one rule where it is a bare variable, and at
+    least 1."""
+    widths = trs.facts.widths
+    return {s: (Symbol(s.name, sum(w), s.kind), w) for s, w in widths.items()}
 
 
 def phi(trs: Trs, counts: Widening, t: Term) -> Term:

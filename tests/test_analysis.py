@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from consfree import analysis, terms
 from consfree.analysis import (
     ConstrainedWitness,
     NotConsFreeError,
@@ -20,7 +19,7 @@ from consfree.analysis import (
 )
 from consfree.fmt import ParseError, encode_input, parse_term, parse_trs
 from consfree.tabulation import decide
-from consfree.terms import App, format_term, is_data, rhs_data, size
+from consfree.terms import App, format_term, is_data, size
 from consfree.tm import compile_tm
 from consfree.transforms import bottom_extend, compute_counts, semi_linearize
 
@@ -177,27 +176,20 @@ def test_every_head_above_a_direct_variable_is_forced():
     assert {s.name for s in check_constrained(trs).a_set} == {"g", "h", "k", "m", "p"}
 
 
-def test_static_facts_walk_each_rule_once_per_system(monkeypatch):
-    walked = []
-
-    def counting(rule):
-        walked.append(rule)
-        return walk(rule)
-
-    walk = terms.rule_facts
-    for module in (terms, analysis):
-        monkeypatch.setattr(module, "rule_facts", counting)
+def test_static_facts_walk_each_rule_once_per_system():
     text = (CORPUS / "mix.trs").read_text(encoding="utf-8")
+    records = []
     for _ in range(2):  # a second parse is a new system and starts afresh
         trs = parse_trs(text)
-        walked.clear()
+        records.append(trs.facts)
         for _ in range(2):
             check_cons_free(trs)
             check_constrained(trs)
-            rhs_data(trs)
+            compute_b(trs, encode_input("0110"))
             compute_counts(trs)
             decide(trs, "0110", "demand")
-        assert walked == list(trs.rules)
+        assert trs.facts is records[-1]
+    assert records[0] is not records[1]
 
 
 def test_compute_b_contents_and_order():
@@ -331,3 +323,15 @@ def test_static_facts_are_pinned():
         records.append(repr([format_term(t) for t in compute_b(trs, encode_input(""))]))
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert digest == STATIC_FACTS_DIGEST
+
+
+def test_check_semi_linear_agrees_with_the_facts():
+    # the rule-by-rule check counts its own variable uses, apart from the walk
+    # that finds the witness
+    duplicating = 0
+    for name, trs in pinned_systems():
+        bad = [i for i, r in enumerate(trs.rules) if not check_semi_linear(r)]
+        assert bad == list(trs.facts.duplicating), name
+        duplicating += bool(bad)
+    # mix, dup_first, their bottom extensions and 34 mutants duplicate a variable
+    assert duplicating == 38

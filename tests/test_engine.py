@@ -410,7 +410,7 @@ def test_accepts():
 
 
 def test_both_engines_run_one_plan_per_rule(monkeypatch):
-    # the table and the oracle run the plan `rule_index` compiles once
+    # the table and the oracle run the plan the system's index compiles once
     mem = load_system("membership")
     compiled = []
     original = terms.head_tests
@@ -418,11 +418,11 @@ def test_both_engines_run_one_plan_per_rule(monkeypatch):
         terms, "head_tests", lambda lhs: compiled.append(lhs) or original(lhs)
     )
     decide(mem, "0110")
-    plans = dict(terms.rule_index(mem).plans)
+    plans = dict(mem.index.plans)
     data_results(mem, [encode_input("0110")], "cbv")
     assert plans
     assert len(compiled) == len({id(lhs) for lhs in compiled}) <= len(mem.rules)
-    assert all(terms.rule_index(mem).plans[i] is plan for i, plan in plans.items())
+    assert all(mem.index.plans[i] is plan for i, plan in plans.items())
 
 
 def test_oracle_reuses_matched_subterms():

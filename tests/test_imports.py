@@ -3,9 +3,9 @@ and every private module-level name, nested function, private method and
 private `self._x` attribute it defines is read in that module.  No function
 calls itself, outside `fmt.py` no module names a decision-interface symbol by
 a string literal, and outside `terms.py` no module compiles a rule by
-calling `head_tests` or reads a `.memo` other than its own `self.memo`.  No
-function reads `Kind.DEFINED` or `Kind.CONSTRUCTOR`: it reads the `terms`
-constants.
+calling `head_tests`.  No module uses `functools.cache` or `lru_cache`, and
+outside `terms.py` none uses `cached_property`.  No function reads
+`Kind.DEFINED` or `Kind.CONSTRUCTOR`: it reads the `terms` constants.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules, so the
 suite needs no extra dependency.  `__init__.py` is exempt from the import
@@ -242,8 +242,8 @@ def test_decision_interface_named_only_in_fmt(path):
 
 
 def head_tests_calls(source: str) -> list[str]:
-    """Calls of `head_tests`, bare or as an attribute: `terms.rule_index`
-    compiles each rule once for the table and the oracle alike."""
+    """Calls of `head_tests`, bare or as an attribute: `Trs.index` compiles
+    each rule once for the table and the oracle alike."""
     found = []
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Call):
@@ -259,7 +259,7 @@ def test_head_tests_call_checker_flags_calls():
         "tests, pats = head_tests(rule.lhs)\n"
         "other = terms.head_tests(lhs)\n"
         "alias = head_tests\n"
-        "plan = rule_index(trs).plans[i]\n"
+        "plan = trs.index.plans[i]\n"
     )
     assert head_tests_calls(src) == ["head_tests (line 1)", "head_tests (line 2)"]
 
@@ -271,31 +271,49 @@ def test_rules_compiled_only_in_terms(path):
     assert head_tests_calls(path.read_text(encoding="utf-8")) == []
 
 
-def memo_reads(source: str) -> list[str]:
-    """`.memo` read off anything but `self`: a system's memo is filled only
-    by `terms.per_system`, one entry per decorated function."""
-    lines = sorted(
-        n.lineno for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.Attribute) and n.attr == "memo" and not (
-            isinstance(n.value, ast.Name) and n.value.id == "self"))
-    return [f"memo (line {line})" for line in lines]
+CACHES = ("cache", "lru_cache", "cached_property")
 
 
-def test_memo_read_checker_flags_reads_off_other_objects():
+def cache_uses(source: str) -> list[str]:
+    """`functools` caches named in `source`: imported from `functools`, or
+    read as its attributes.  `Trs` hashes by value, so a cache keyed by
+    system would share one system's facts with every equal system and keep
+    them all alive; a system's facts are `Trs`'s own cached properties."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            found.update((n.lineno, a.name) for a in n.names if a.name in CACHES)
+        elif (isinstance(n, ast.Attribute) and n.attr in CACHES
+                and isinstance(n.value, ast.Name) and n.value.id == "functools"):
+            found.add((n.lineno, n.attr))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_cache_checker_flags_functools_caches():
     src = (
-        'pool = trs.memo.get("x")\n'
-        "hit = self.memo.get(u)\n"
-        'oracle.trs.memo["y"] = 1\n'
-        "memo = {}\n"
+        "import functools\n"
+        "from functools import lru_cache, partial\n"
+        "@functools.cache\n"
+        "def f(trs): ...\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def facts(self): ...\n"
+        "cache = {}\n"
+        "hit = self.cache.get(x)\n"
+        "from functools import cached_property as kept\n"
     )
-    assert memo_reads(src) == ["memo (line 1)", "memo (line 3)"]
+    assert cache_uses(src) == [
+        "lru_cache (line 2)", "cache (line 3)", "cached_property (line 6)",
+        "cached_property (line 10)",
+    ]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in ALL_MODULES if p.name != "terms.py"], ids=lambda p: p.name
-)
-def test_system_memo_read_only_in_terms(path):
-    assert memo_reads(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_caches(path):
+    used = cache_uses(path.read_text(encoding="utf-8"))
+    if path.name == "terms.py":  # `Trs.facts` and `Trs.index`
+        used = [u for u in used if not u.startswith("cached_property ")]
+    assert used == []
 
 
 KINDS = ("DEFINED", "CONSTRUCTOR")

@@ -23,11 +23,8 @@ from consfree.terms import (
     is_constructor_term,
     is_data,
     match,
-    per_system,
     positions,
     replace_at,
-    rhs_data,
-    rule_index,
     same_rules,
     size,
     subterm_at,
@@ -37,7 +34,7 @@ from consfree.terms import (
 
 from consfree.tm import compile_tm
 
-from conftest import ROOT, load_machine
+from conftest import ROOT, load_machine, load_system
 
 NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
 ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
@@ -235,20 +232,21 @@ def test_rules_for():
 
 
 def test_per_system_computes_once_per_object():
-    calls = []
-
-    @per_system
-    def heads(trs):
-        calls.append(trs)
-        return tuple(trs.by_head)
-
-    rules = (Rule(App(F, (Var("x"),)), Var("x")),)
+    # a system's facts and index are computed on first read, kept with that
+    # object, and never shared with an equal system
+    rules = (Rule(App(F, (Var("x"),)), App(CONS, (App(ZERO), App(NIL)))),)
     a, b = Trs(rules), Trs(rules)
-    assert a == b
-    assert heads(a) == (F,)
-    assert heads(a) is heads(a)
-    assert heads(b) == (F,)
-    assert len(calls) == 2 and calls[0] is a and calls[1] is b  # equal, not shared
+    assert a == b and hash(a) == hash(b)
+    for name in ("facts", "index"):
+        assert name not in vars(a) and name not in vars(b)
+        first = getattr(a, name)
+        assert vars(a)[name] is first and getattr(a, name) is first
+        assert name not in vars(b)
+        assert getattr(b, name) is not first
+    assert a.facts == b.facts and a.index.pool_slot == b.index.pool_slot
+    # neither parsing nor compiling a machine reads them
+    for trs in (load_system("mix"), compile_tm(load_machine("parity")).trs):
+        assert "facts" not in vars(trs) and "index" not in vars(trs)
 
 
 def test_rule_index_fits_argument_heads():
@@ -261,8 +259,8 @@ def test_rule_index_fits_argument_heads():
         Rule(App(h, (App(CONS, (Var("x"), Var("y"))), App(NIL))), Var("y")),
     )
     trs = Trs(rules)
-    index = rule_index(trs)
-    assert rule_index(trs) is index  # memoized per system
+    index = trs.index
+    assert trs.index is index  # kept per system
     assert index.plans == {}  # a rule is compiled when a key first fits it
 
     def fits(key):
@@ -342,7 +340,7 @@ def test_every_plan_is_well_formed(corpus):
     probe = [f"r{s}" for s in range(200)]  # a distinct value per slot
     arities = set()
     for name, trs in systems.items():
-        index, pool = rule_index(trs), rhs_data(trs)
+        index, pool = trs.index, trs.facts.data
         for i, rule in enumerate(trs.rules):
             lhs = rule.lhs
             assert i in dict(index[(lhs.head, tuple([a.head for a in lhs.args]))])
