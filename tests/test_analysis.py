@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,11 +22,11 @@ from consfree.analysis import (
 )
 from consfree.fmt import ParseError, encode_input, parse_term, parse_trs
 from consfree.tabulation import decide
-from consfree.terms import App, format_term, is_data, size
+from consfree.terms import DEFINED, App, Rule, Symbol, Trs, Var, format_term, is_data, size
 from consfree.tm import compile_tm
 from consfree.transforms import bottom_extend, compute_counts, semi_linearize
 
-from conftest import CORPUS, CORPUS_NAMES, MACHINES, load_machine, load_system
+from conftest import CORPUS, CORPUS_NAMES, MACHINES, ROOT, load_machine, load_system
 from test_fuzz import MUTANTS, SEED, mutate
 
 # frozen witness sets for the bundled systems
@@ -335,3 +338,69 @@ def test_check_semi_linear_agrees_with_the_facts():
         duplicating += bool(bad)
     # mix, dup_first, their bottom extensions and 34 mutants duplicate a variable
     assert duplicating == 38
+
+
+def force_head(trs: Trs, i: int) -> Trs:
+    """`trs` with `force'(z0, ...) -> f(z0, ...)` added for the head f of
+    rule i: f then sits above direct variables, so every witness holds it."""
+    f = trs.rules[i].lhs.head
+    zs = tuple(Var(f"z{k}") for k in range(f.arity))
+    rule = Rule(App(Symbol("force'", f.arity, DEFINED), zs), App(f, zs))
+    return Trs(trs.rules + (rule,), trs.signature)
+
+
+def test_forced_heads_decide_constrainedness():
+    # the forced heads are a witness exactly when the system is constrained,
+    # no witness can leave one out, and forcing the head of a rule that is
+    # not semi-linear makes the system not constrained at that rule
+    constrained = drops = duplicating = 0
+    for name, trs in pinned_systems():
+        if check_cons_free(trs):
+            continue
+        forced = trs.facts.forced
+        try:
+            check_constrained(trs)
+        except NotConstrainedError:
+            assert not verify_constrained_witness(trs, ConstrainedWitness(forced)), name
+        else:
+            assert verify_constrained_witness(trs, ConstrainedWitness(forced)), name
+            constrained += 1
+            for s in forced:
+                smaller = ConstrainedWitness(forced - {s})
+                assert not verify_constrained_witness(trs, smaller), (name, s.name)
+                drops += 1
+        duplicating += bool(trs.facts.duplicating)
+        for i in trs.facts.duplicating:
+            f = trs.rules[i].lhs.head
+            first = next(j for j in trs.facts.duplicating if trs.rules[j].lhs.head is f)
+            more = force_head(trs, i)
+            assert more.facts.forced == forced | {f}, (name, i)
+            with pytest.raises(NotConstrainedError, match=rf"^rule {first} \("):
+                check_constrained(more)
+            assert not verify_constrained_witness(
+                more, ConstrainedWitness(more.facts.forced)
+            ), (name, i)
+    assert (constrained, drops, duplicating) == (229, 123, 36)
+
+
+def test_static_facts_do_not_depend_on_the_hash_seed():
+    # set and dict orders change with the hash seed; the pinned facts may not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    tests = [
+        f"{__file__}::{name}"
+        for name in ("test_static_facts_are_pinned", "test_forced_heads_decide_constrainedness")
+    ]
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=ROOT,
+        )
+        assert proc.returncode == 0, (seed, proc.stdout[-2000:])
+        assert "2 passed" in proc.stdout, (seed, proc.stdout[-2000:])

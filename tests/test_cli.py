@@ -17,6 +17,7 @@ from consfree.tm import compile_tm, parse_tm
 from consfree.transforms import bottom_extend
 
 from conftest import CORPUS, MACHINES, ROOT
+from test_analysis import force_head
 from test_fuzz import MUTANTS, SEED, mutate
 
 MEM = str(CORPUS / "membership.trs")
@@ -80,6 +81,20 @@ def test_check_not_constrained(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(src))
     assert code == 0  # cons-free holds, so the command succeeds
     assert "constrained: no (" in out
+
+
+@pytest.mark.parametrize("source", [MIX, DUP], ids=["mix", "dup_first"])
+def test_check_names_a_forced_rule_that_is_not_semi_linear(capsys, tmp_path, source):
+    # rule 2 duplicates a direct variable; a new rule forces its head into A
+    trs = parse_trs(open(source, encoding="utf-8").read())
+    src = tmp_path / "forced.trs"
+    src.write_text(print_trs(force_head(trs, 2)), encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(src))
+    assert code == 0  # cons-free holds, so the command succeeds
+    assert out.splitlines()[2].startswith("constrained: no (rule 2 (")
+    code, _, err = run(capsys, "transform", str(src), "--pass", "semilin")
+    assert code == 1
+    assert err.startswith("not constrained: rule 2 (")
 
 
 def test_check_deep_file_under_default_recursion_limit(capsys, tmp_path):

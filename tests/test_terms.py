@@ -35,6 +35,7 @@ from consfree.terms import (
 from consfree.tm import compile_tm
 
 from conftest import ROOT, load_machine, load_system
+from test_analysis import pinned_systems
 
 NIL = Symbol("nil", 0, Kind.CONSTRUCTOR)
 ZERO = Symbol("0", 0, Kind.CONSTRUCTOR)
@@ -69,6 +70,20 @@ def test_size_and_variables():
     assert size(t) == 6
     assert variables(t) == {"x", "ys"}
     assert variables(App(NIL)) == set()
+    # every subterm of every rule side of the pinned systems: each walk
+    # agrees with its definition over `subterms`
+    nodes = 0
+    for name, trs in pinned_systems():
+        for rule in trs.rules:
+            for t in subterms(rule.lhs) + subterms(rule.rhs):
+                subs = subterms(t)
+                assert size(t) == len(subs), name
+                assert variables(t) == {u.name for u in subs if isinstance(u, Var)}, name
+                assert is_constructor_term(t) == all(
+                    isinstance(u, Var) or u.head.kind is Kind.CONSTRUCTOR for u in subs
+                ), name
+                nodes += 1
+    assert nodes == 65975
 
 
 def test_subterms_counts_occurrences():
