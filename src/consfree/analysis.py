@@ -1,8 +1,9 @@
 """Static analyses: cons-freeness, semi-linearity, constrainedness, and the
 bounded data universe used by the tabulation engine.  The checks and the
 data pool read one record per system, `Trs.facts`: one walk per rule side,
-made on the first read.  `check_semi_linear` and `verify_constrained_witness`
-read the rules themselves.
+made on the first read, where condition 2 reads `is_constructor_term` of each
+lhs argument.  `check_semi_linear` and `verify_constrained_witness` read the
+rules themselves.
 
 A rule is cons-free when (1) its left-hand side is linear, (2) the lhs is a
 defined symbol applied to constructor terms, and (3) every constructor-rooted

@@ -234,9 +234,8 @@ def parse_trs(src: str) -> Trs:
 def print_trs(trs: Trs) -> str:
     """Render deterministically; parse_trs(print_trs(t)) equals t up to
     rule-variable renaming."""
-    var_names = sorted(
-        {v for r in trs.rules for v in variables(r.lhs) | variables(r.rhs)}
-    )
+    # every rhs variable occurs in its lhs: `Trs` checks it
+    var_names = sorted({v for r in trs.rules for v in variables(r.lhs)})
     head = "(VAR" + ("" if not var_names else " " + " ".join(var_names)) + ")"
     lines = [head, "(RULES"]
     for rule in trs.rules:

@@ -167,16 +167,8 @@ def size(t: Term) -> int:
 
 
 def variables(t: Term) -> set[str]:
-    """Names of the variables in t, by one walk into one set."""
-    out: set[str] = set()
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, Var):
-            out.add(u.name)
-        else:
-            todo.extend(u.args)
-    return out
+    """Names of the variables in t."""
+    return {u.name for u in subterms(t) if u.__class__ is Var}
 
 
 def subterms(t: Term) -> list[Term]:
@@ -238,14 +230,7 @@ def is_data(t: Term) -> bool:
 
 def is_constructor_term(t: Term) -> bool:
     """True iff t contains no defined symbols (variables allowed)."""
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, App) and not u.is_data:
-            if u.head.kind is not CONSTRUCTOR:
-                return False
-            todo.extend(u.args)
-    return True
+    return all(u.__class__ is Var or u.head.kind is CONSTRUCTOR for u in subterms(t))
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:
@@ -395,49 +380,44 @@ class Trs:
     def facts(self) -> StaticFacts:
         """The system's static facts, by one iterative walk of each rule's
         lhs and one of its rhs.  The violations of a rule are each repeated
-        lhs variable by name, each lhs argument that holds a defined symbol,
-        and each constructor-rooted rhs subterm, in pre-order, that is
-        neither data nor a strict lhs subterm."""
+        lhs variable by name (condition 1), each lhs argument that is not a
+        constructor term by `is_constructor_term` (condition 2), and each
+        constructor-rooted rhs subterm, in pre-order, that is neither data
+        nor a strict lhs subterm (condition 3)."""
         violations: list[tuple[int, int, Term]] = []
         duplicating, forced, pool = [], set(), []
         widths = {s: [1] * s.arity for s in self.defined()}
         for i, rule in enumerate(self.rules):
             args = rule.lhs.args
             seen, twice = set(), set()  # lhs variable names met, met again
-            strict = []  # lhs subterms below the root that are neither variables nor data
+            strict = set()  # lhs subterms below the root that are neither variables nor data
             todo = list(args)
             while todo:
                 u = todo.pop()
                 if u.__class__ is Var:
                     (twice if u.name in seen else seen).add(u.name)
                 elif not u.is_data:
-                    strict.append(u)
+                    strict.add(u)
                     todo += u.args
             violations += [(i, 1, Var(name)) for name in sorted(twice)]
-            if any(s.head.kind is DEFINED for s in strict):  # not cons-free: find where
-                violations += [(i, 2, a) for a in args if not is_constructor_term(a)]
+            violations += [(i, 2, a) for a in args if not is_constructor_term(a)]
             uses = {a.name: 0 for a in args if a.__class__ is Var}  # direct variables
-            lhs_strict = None  # built on first need
-            above, done = [], 0  # heads above the current node; above[:done] forced
+            above = []  # heads above the current node
             walk = [rule.rhs]  # pre-order; None closes the innermost open node
             while walk:
                 u = walk.pop()
                 if u is None:
                     above.pop()
-                    done = min(done, len(above))
                 elif u.__class__ is Var:
                     if u.name in uses:
                         uses[u.name] += 1
-                        forced.update(above[done:])
-                        done = len(above)
+                        forced.update(above)
                 elif u.is_data:
                     pool += subterms(u)
                 else:
                     above.append(u.head)
-                    if u.head.kind is CONSTRUCTOR:
-                        lhs_strict = set(strict) if lhs_strict is None else lhs_strict
-                        if u not in lhs_strict:
-                            violations.append((i, 3, u))
+                    if u.head.kind is CONSTRUCTOR and u not in strict:
+                        violations.append((i, 3, u))
                     walk.append(None)
                     walk += reversed(u.args)
             if any(n > 1 for n in uses.values()):
