@@ -426,6 +426,47 @@ def test_demand_outcomes_are_pinned(corpus):
     assert digest == DEMAND_DIGEST
 
 
+# sha256 of every record of `test_dense_outcomes_are_pinned`; it changes only
+# if a dense run counts, fills or answers something differently
+DENSE_DIGEST = "45cfdb7d1bdb05036aaa7d44a27a034c5b30c0ce8ccf9bc2f049eb2ac0945343"
+
+# ROADMAP item 17's long inputs, where dense tables have the most keys
+LONG_INPUTS = ("01101001", "0110100110010110", "0" * 16, "1" * 16, "01" * 16, "0" * 32)
+
+
+def test_dense_outcomes_are_pinned(corpus):
+    # every defined-rooted B-safe start up to 5 nodes of each cyclic system
+    # and each corpus system, and the corpus decision systems on every input
+    # up to length 6 and on the long inputs.  A record is the system,
+    # generations, basic_ops, the start with its sorted values, and the table.
+    def record(name, trs, start):
+        table = run_tabulation(trs, start, "dense")
+        stats = table.stats
+        values = " ".join(sorted(map(format_term, nf(table, start))))
+        return (f"{name} {stats.generations} {stats.basic_ops} "
+                f"{format_term(start)} => {values}\n{table.dump()}")
+
+    systems = [(name, parse_trs(CYCLIC[name])) for name in sorted(CYCLIC)]
+    systems += [(name, corpus[name]) for name in CORPUS_NAMES]
+    records = [
+        record(name, trs, start)
+        for name, trs in systems
+        for start in b_safe_terms(trs, 5)
+        if start.head.kind is Kind.DEFINED
+    ]
+    assert len(records) == 15_722
+    inputs = [
+        "".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)
+    ]
+    inputs += LONG_INPUTS
+    for name, trs in systems:
+        if "start" in trs.by_name:
+            records += [record(name, trs, encode_input(bits)) for bits in inputs]
+    assert len(records) == 15_722 + 11 * 133
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == DENSE_DIGEST
+
+
 def test_demand_rounds_share_nothing(monkeypatch):
     # a round keeps only the table from the round before: each of the 3
     # rounds from r(a) matches every one of the 6 keys of its cone again
