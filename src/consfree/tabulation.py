@@ -17,14 +17,15 @@ the whole combination).  Iteration stops at the first fixpoint.
 Two modes, on one evaluator, `_evaluate`, which yields each key it reads:
 - "dense": sweep every key (every defined symbol, every argument tuple over
   B) per generation.  A key's matching rules depend only on the key and B,
-  so they are found once per run.  The first sweep evaluates the keys some
-  rule matches (no other key ever gets a value) and records their reads; a
-  later one only the readers of the keys the previous sweep changed, since
-  any other key would read the same values again (semi-naive evaluation).
-  `basic_ops` adds a skipped key's count from its last evaluation, and one
-  rule-match attempt per candidate rule per key per sweep, so the counts
-  are those of the reference procedure, which recomputes every key in every
-  sweep and obeys the O(n^(3k+3)) bound (k = max defined arity).
+  so they are listed once per run, rule by rule as bottom-up Datalog does:
+  a rule is tried on the product of the B items its argument heads fit.
+  The first sweep evaluates the keys some rule matches (no other key ever
+  gets a value) and records their reads; a later one only the readers of
+  the keys the previous sweep changed (semi-naive evaluation).  `basic_ops`
+  adds a skipped key's count from its last evaluation, and per sweep one
+  rule-match attempt per candidate rule per key, the sum of those products:
+  the counts of the reference procedure, which recomputes every key in
+  every sweep and obeys the O(n^(3k+3)) bound (k = max defined arity).
 - "demand": the same saturation restricted to the keys transitively read
   while evaluating the start term, in rounds.  A round evaluates each key
   when it is first read, after the keys it reads (an explicit stack of
@@ -52,8 +53,8 @@ nodes, each a defined symbol evaluated pointwise over the table.  While every
 value of a body so far is one item, as on the deterministic compiled
 machines, a node is one key, taken from the slots by the node's picker, and
 one lookup; the first value that is empty or has several items sends the
-rest of the body to the product of the slots' values.  Both count alike.  A key
-tries the rules that the index fits to its arguments' heads.  A table
+rest of the body to the product of the slots' values.  Both count alike.  A
+demand key tries the rules that the index fits to its arguments' heads.  A table
 builds its run's B; a B item is a head symbol and its children's indices,
 and each constant is its B index.  The start term and `nf`'s term go through
 `compile_rhs` once, with no registers, so their data subterms fill the first
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Container, Iterator, Literal
@@ -78,6 +80,7 @@ from .terms import (
     Symbol,
     Term,
     Trs,
+    Var,
     compile_rhs,
     format_term,
     size,
@@ -245,47 +248,61 @@ class ConfirmedTable:
         self.entries[key] = value
         return True
 
+    def _fits(self, tests: tuple, regs: list[int]) -> bool:
+        """Whether the B items in `regs` pass a plan's head tests: (r, f) needs
+        an item headed by f in register r and appends its children as
+        registers.  The lhs is linear, so no test compares two registers."""
+        heads, kids = self.heads, self.kids
+        for r, h in tests:
+            if heads[idx := regs[r]] is not h:
+                return False
+            regs += kids[idx]
+        return True
+
     def _matches(self, key: Key) -> list[Body]:
         """Nodes, top slot and registers of each rule of `key`'s symbol that
-        matches its arguments.  On a B item, a test (r, f) checks that
-        register r holds an item headed by f and appends the item's children
-        as registers; registers start as the key's arguments and end with the
-        rule's constants.  The lhs is linear, so no test compares two
-        registers."""
+        matches its arguments, the registers ending with its constants."""
         sym, combo = key
-        heads, kids, consts = self.heads, self.kids, self.consts
+        plans = self.index[(sym, tuple([self.heads[i] for i in combo]))]
+        self.ops += len(plans)  # rule-match attempts
         found = []
-        for _, (tests, _, _, pool, nodes, top) in self.index[
-            (sym, tuple([heads[i] for i in combo]))
-        ]:
-            self.ops += 1  # rule-match attempt
+        for _, (tests, _, _, pool, nodes, top) in plans:
             regs = list(combo)
-            for r, h in tests:
-                idx = regs[r]
-                if heads[idx] is not h:
-                    break
-                regs += kids[idx]
-            else:
-                regs += [consts[k] for k in pool]
+            if self._fits(tests, regs):
+                regs += [self.consts[k] for k in pool]
                 found.append((nodes, top, regs))
         return found
 
+    def _matched_keys(self) -> tuple[dict[Key, list[Body]], int]:
+        """What `_matches` finds on every key it finds something on, and its
+        attempts on every key, by trying each rule on the keys its argument
+        heads fit: the product of its arguments' candidates."""
+        having = defaultdict(list)  # each head symbol's B items
+        for i, head in enumerate(self.heads):
+            having[head].append(i)
+        every, matched, attempts = range(len(self.items)), defaultdict(list), 0
+        for i, rule in enumerate(self.trs.rules):
+            args = rule.lhs.args
+            candidates = [every if p.__class__ is Var else having[p.head] for p in args]
+            if keys := math.prod(map(len, candidates)):  # else compile no plan
+                attempts += keys
+                tests, _, _, pool, nodes, top = self.index.plan(i)
+                pooled = [self.consts[k] for k in pool]
+                for combo in itertools.product(*candidates):
+                    regs = list(combo)
+                    if self._fits(tests, regs):
+                        matched[rule.lhs.head, combo].append((nodes, top, regs + pooled))
+        return matched, attempts
+
     def run_dense(self) -> int:
-        """Sweep the matched keys until nothing changes; returns the sweeps.
+        """Sweep the keys of `_matched_keys` until nothing changes; returns the sweeps.
 
         A sweep after the first evaluates only the readers of the keys the
         previous one changed, and counts each other key's last evaluation
         again: it would read the same values, so it would count the same.
         Updates apply after a sweep, so no order of evaluation matters."""
-        n = len(self.items)
         get, evaluate = self.entries.get, self._evaluate
-        matched = {}
-        for sym in self.trs.defined():
-            for combo in itertools.product(range(n), repeat=sym.arity):
-                key = (sym, combo)
-                if bodies := self._matches(key):
-                    matched[key] = bodies
-        attempts, self.ops = self.ops, 0  # counted again in every sweep
+        matched, attempts = self._matched_keys()
         readers: defaultdict[Key, dict[Key, None]] = defaultdict(dict)  # ordered sets
         cost = dict.fromkeys(matched, 0)  # count of each key's last evaluation
         total = 0  # their sum: what a sweep that evaluates no key would count

@@ -473,6 +473,7 @@ class _RuleIndex(dict):
 
     def __init__(self, trs: Trs):
         super().__init__()
+        self.rules = trs.rules
         self.by_head = trs.by_head
         self.pool_slot = {t: k for k, t in enumerate(trs.facts.data)}
         self.plans: dict[int, tuple] = {}
@@ -480,13 +481,15 @@ class _RuleIndex(dict):
     def __missing__(self, key: tuple[Symbol, tuple]) -> tuple[tuple[int, tuple], ...]:
         head, arg_heads = key
         hit = self[key] = tuple(
-            (i, self.plans.get(i) or self._compile(i, rule))
-            for i, rule in self.by_head.get(head, ())
-            if all(
-                isinstance(p, Var) or p.head is h for p, h in zip(rule.lhs.args, arg_heads)
-            )
+            (i, self.plan(i)) for i, rule in self.by_head.get(head, ())
+            if all(isinstance(p, Var) or p.head is h
+                   for p, h in zip(rule.lhs.args, arg_heads))
         )
         return hit
+
+    def plan(self, i: int) -> tuple:
+        """Rule i's plan, compiled on its first need."""
+        return self.plans.get(i) or self._compile(i, self.rules[i])
 
     def _compile(self, i: int, rule: Rule) -> tuple:
         tests, pats = head_tests(rule.lhs)

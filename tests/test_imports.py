@@ -242,8 +242,9 @@ def test_decision_interface_named_only_in_fmt(path):
 
 
 def head_tests_calls(source: str) -> list[str]:
-    """Calls of `head_tests`, bare or as an attribute: `Trs.index` compiles
-    each rule once for the table and the oracle alike."""
+    """Calls of `head_tests`, bare or as an attribute, and of a `_compile`
+    method: `Trs.index` compiles each rule once for the table and the oracle
+    alike, and hands out its plans by `plan(i)`."""
     found = []
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Call):
@@ -251,6 +252,8 @@ def head_tests_calls(source: str) -> list[str]:
             if (isinstance(f, ast.Name) and f.id == "head_tests") or (
                     isinstance(f, ast.Attribute) and f.attr == "head_tests"):
                 found.append(f"head_tests (line {n.lineno})")
+            elif isinstance(f, ast.Attribute) and f.attr == "_compile":
+                found.append(f"_compile (line {n.lineno})")
     return found
 
 
@@ -260,8 +263,13 @@ def test_head_tests_call_checker_flags_calls():
         "other = terms.head_tests(lhs)\n"
         "alias = head_tests\n"
         "plan = trs.index.plans[i]\n"
+        "plan = self.index._compile(i)\n"
+        "plan = self.index.plan(i)\n"
+        "compile = index._compile\n"
     )
-    assert head_tests_calls(src) == ["head_tests (line 1)", "head_tests (line 2)"]
+    assert head_tests_calls(src) == [
+        "head_tests (line 1)", "head_tests (line 2)", "_compile (line 5)"
+    ]
 
 
 @pytest.mark.parametrize(

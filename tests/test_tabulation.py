@@ -261,30 +261,62 @@ def test_demand_evaluates_each_key_once_on_machines(monkeypatch):
 @pytest.mark.parametrize("name, bits", [("membership", "0000"), ("diag", "0110")])
 def test_dense_matches_each_key_once(monkeypatch, name, bits):
     # a key's matched rules depend only on the key and B, so a dense run
-    # matches every key once, however many sweeps it makes
+    # lists them once, rule by rule, however many sweeps it makes: each key
+    # some rule matches, once, with the bodies `_matches` finds for it in
+    # rule order.  No key is matched on its own
     trs = load_system(name)
-    table, matched = matched_run(monkeypatch, trs, encode_input(bits), "dense")
-    n = len(table.items)
-    assert table.stats.generations > 1
-    assert len(matched) == sum(n**sym.arity for sym in trs.defined())
-    assert len(set(matched)) == len(matched)
+    start = encode_input(bits)
+    listings = []
+    listing = tabulation.ConfirmedTable._matched_keys
+    monkeypatch.setattr(
+        tabulation.ConfirmedTable, "_matched_keys",
+        lambda self: listings.append(listing(self)) or listings[-1],
+    )
+    table, matched = matched_run(monkeypatch, trs, start, "dense")
+    assert table.stats.generations > 1 and matched == []
+    [(listed, _)] = listings
+    fresh = tabulation.ConfirmedTable(trs, start)
+    keys = [
+        (sym, combo)
+        for sym in trs.defined()
+        for combo in itertools.product(range(len(fresh.items)), repeat=sym.arity)
+    ]
+    want = {key: bodies for key in keys if (bodies := fresh._matches(key))}
+    assert 0 < len(want) < len(keys)
+    assert listed == want
+
+
+def test_dense_attempts_equal_brute_force(corpus):
+    # the listing charges each rule the product of its arguments' candidate
+    # counts; the reference procedure tries, on every key, the rules that
+    # fit its arguments' heads.  B is the data of the input and the rules
+    systems = {name: parse_trs(CYCLIC[name]) for name in sorted(CYCLIC)} | corpus
+    for name, trs in systems.items():
+        for bits in ("", "0110", "01101001"):
+            table = tabulation.ConfirmedTable(trs, encode_input(bits))
+            heads, n = table.heads, len(table.items)
+            want = sum(
+                len(trs.index[(sym, tuple(heads[i] for i in combo))])
+                for sym in trs.defined()
+                for combo in itertools.product(range(n), repeat=sym.arity)
+            )
+            assert table._matched_keys()[1] == want, (name, bits)
 
 
 def dense_sweeps(monkeypatch, trs, start):
     """A dense table and its sweeps: per sweep, the keys evaluated with the
     keys each one read, then the keys whose values the sweep changed."""
     keys, sweeps = {}, [([], set())]
-    matches, evaluate, store = (
-        tabulation.ConfirmedTable._matches,
+    listing, evaluate, store = (
+        tabulation.ConfirmedTable._matched_keys,
         tabulation.ConfirmedTable._evaluate,
         tabulation.ConfirmedTable._set,
     )
 
-    def matching(self, key):
-        bodies = matches(self, key)
-        if bodies:  # kept by the run, so no other list takes its id
-            keys[id(bodies)] = key
-        return bodies
+    def listed(self):
+        matched, attempts = listing(self)
+        keys.update({id(bodies): key for key, bodies in matched.items()})
+        return matched, attempts
 
     def evaluating(self, bodies, value, done):
         if sweeps[-1][1]:  # the previous sweep's updates are stored
@@ -305,7 +337,7 @@ def dense_sweeps(monkeypatch, trs, start):
         return store(self, key, value)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tabulation.ConfirmedTable, "_matches", matching)
+        patch.setattr(tabulation.ConfirmedTable, "_matched_keys", listed)
         patch.setattr(tabulation.ConfirmedTable, "_evaluate", evaluating)
         patch.setattr(tabulation.ConfirmedTable, "_set", setting)
         table = run_tabulation(trs, start, "dense")
@@ -500,12 +532,14 @@ def test_fill_builds_no_terms(monkeypatch):
 def test_single_valued_cones_take_no_product(monkeypatch):
     # the machines are deterministic, so every value on their cones is one
     # item and each node is one picked key; `choose` has values of several
-    # items, so its fill still takes the product of the slots' values
+    # items, so its fill still takes the product of the slots' values.  Only
+    # `_evaluate`'s products count, not those that list a dense table's keys
     product = itertools.product
+    evaluator = tabulation.ConfirmedTable._evaluate.__code__
     calls = []
 
     def counting(*values, **repeat):
-        if not repeat:  # not `run_dense` listing a symbol's keys
+        if sys._getframe(1).f_code is evaluator:
             calls.append(values)
         return product(*values, **repeat)
 
