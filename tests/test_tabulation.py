@@ -462,7 +462,7 @@ def test_demand_outcomes_are_pinned(corpus):
 # if a dense run counts, fills or answers something differently
 DENSE_DIGEST = "45cfdb7d1bdb05036aaa7d44a27a034c5b30c0ce8ccf9bc2f049eb2ac0945343"
 
-# ROADMAP item 17's long inputs, where dense tables have the most keys
+# inputs of lengths 8 to 32, where dense tables have the most keys
 LONG_INPUTS = ("01101001", "0110100110010110", "0" * 16, "1" * 16, "01" * 16, "0" * 32)
 
 
